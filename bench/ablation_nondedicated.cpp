@@ -31,8 +31,7 @@ struct Replica {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the replica sweep (default 1)");
   cli.validate();
   const int threads = static_cast<int>(cli.get_positive_int("threads", 1));
@@ -89,4 +88,8 @@ int main(int argc, char** argv) {
       "load; at sigma=0.3 the run-to-run spread is comparable to the wobble\n"
       "visible in published non-dedicated-cluster plots.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

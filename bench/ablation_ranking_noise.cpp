@@ -77,8 +77,7 @@ double targeted_misestimate_factor(int p, double overestimate) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the replica sweeps (default 1)");
   cli.validate();
   util::ThreadPool pool{
@@ -155,4 +154,8 @@ int main(int argc, char** argv) {
       "balanced run becomes *slower* than the equal split (factor < 1) -\n"
       "exactly the second-fastest-processor anomaly the paper reports.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -37,8 +37,7 @@ int median_pid(const MachineTree& tree) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the case sweep (default 1)");
   cli.validate();
 
@@ -113,4 +112,8 @@ int main(int argc, char** argv) {
       "endpoint work); broadcast barely cares (every processor receives all\n"
       "n items either way) - the paper's two design rules, quantified.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

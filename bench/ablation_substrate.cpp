@@ -42,8 +42,7 @@ ShapeStats measure(const sim::SimParams& params) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the variant sweep (default 1)");
   cli.validate();
 
@@ -107,4 +106,8 @@ int main(int argc, char** argv) {
       "anomaly, which is exactly the PVM sender-side-packing artefact the\n"
       "paper's SS5.2 discussion appeals to.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -14,6 +14,7 @@
 #include "core/analysis.hpp"
 #include "core/topology.hpp"
 #include "experiments/figures.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -123,9 +124,14 @@ void hbsp2_top_phase() {
 
 }  // namespace
 
-int main() {
+int run(hbsp::util::Cli& cli) {
+  cli.validate();
   hbsp1_phase_comparison();
   slow_receiver_regime();
   hbsp2_top_phase();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

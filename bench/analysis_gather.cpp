@@ -15,6 +15,7 @@
 #include "core/topology.hpp"
 #include "core/workload.hpp"
 #include "experiments/figures.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -103,9 +104,14 @@ void hbsp2_table() {
 
 }  // namespace
 
-int main() {
+int run(hbsp::util::Cli& cli) {
+  cli.validate();
   hbsp1_table();
   efficiency_condition_table();
   hbsp2_table();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

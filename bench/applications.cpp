@@ -10,6 +10,7 @@
 #include "apps/matvec.hpp"
 #include "apps/sample_sort.hpp"
 #include "core/topology.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -58,7 +59,8 @@ double matvec_factor(int p, std::size_t order) {
 
 }  // namespace
 
-int main() {
+int run(hbsp::util::Cli& cli) {
+  cli.validate();
   util::Table table{
       "HBSP^k applications: balanced-over-equal improvement factor T_u/T_b"};
   table.set_header({"p", "sample sort (100 KB)", "histogram (400 KB)",
@@ -75,4 +77,8 @@ int main() {
       "model's balanced workloads pay: the slowest machine stops being the\n"
       "straggler. Communication-bound phases cap the gain, as SS4 predicts.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

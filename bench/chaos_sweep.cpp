@@ -20,9 +20,8 @@
 #include "util/cli.hpp"
 #include "util/units.hpp"
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("csv", "write the chaos grid to this CSV path")
       .allow("seed", "chaos master seed (default 7001)")
       .allow("threads", "sweep worker threads (default 1)");
@@ -71,4 +70,8 @@ int main(int argc, char** argv) {
       "\nModel: mild chaos leaves the fault-free advice intact; heavy "
       "slowdowns on the fast root invert it.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

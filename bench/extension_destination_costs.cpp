@@ -39,8 +39,7 @@ double simulated(const MachineTree& tree, const CommSchedule& schedule) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the case sweep (default 1)");
   cli.validate();
 
@@ -126,4 +125,8 @@ int main(int argc, char** argv) {
       "traffic (lambda = 1 there) and substantially tightens predictions for\n"
       "cross-hierarchy traffic, where the single-r model undercharges.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

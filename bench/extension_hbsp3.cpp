@@ -48,8 +48,7 @@ CommSchedule flat_gather(const MachineTree& tree, std::size_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the size sweeps (default 1)");
   cli.validate();
   util::ThreadPool pool{static_cast<int>(cli.get_positive_int("threads", 1))};
@@ -161,4 +160,8 @@ int main(int argc, char** argv) {
       "adds one super^i-step whose L and link costs must be amortised, and\n"
       "the hierarchy keeps wide-area traffic at one message per campus.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

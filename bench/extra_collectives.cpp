@@ -13,6 +13,7 @@
 #include "core/topology.hpp"
 #include "sim/cluster_sim.hpp"
 #include "experiments/figures.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -154,7 +155,8 @@ void hierarchical_table(std::size_t n) {
 
 }  // namespace
 
-int main() {
+int run(hbsp::util::Cli& cli) {
+  cli.validate();
   const MachineTree tree = make_paper_testbed(10);
   collective_table(tree, util::ints_in_kbytes(100));
   collective_table(tree, util::ints_in_kbytes(1000));
@@ -165,4 +167,8 @@ int main() {
       "reduce/scan move only 1-item partials, so balance matters mainly for\n"
       "their local compute.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -15,9 +15,8 @@
 #include "obs/trace_export.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("csv", "write the sweep to this CSV path")
       .allow("seed", "sweep master seed (default 2001)")
       .allow("threads", "sweep worker threads (default 1)")
@@ -67,4 +66,8 @@ int main(int argc, char** argv) {
   }
   std::puts("\nPaper: improvement rises with p, is flat in n, and is < 1 at p=2.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -11,9 +11,8 @@
 #include "experiments/figures.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("csv", "write the sweep to this CSV path")
       .allow("seed", "sweep master seed (default 2001)")
       .allow("noise", "BYTEmark log-normal noise sigma (default 0.05)")
@@ -42,4 +41,8 @@ int main(int argc, char** argv) {
       "\nPaper: balancing helps only at p=2; elsewhere the root's aggregate\n"
       "receive dominates either way and mis-estimated c_j erase the gain.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

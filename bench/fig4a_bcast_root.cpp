@@ -15,9 +15,8 @@
 #include "obs/trace_export.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("csv", "write the sweep to this CSV path")
       .allow("threads", "sweep worker threads (default 1)")
       .allow("grid", "paper (default, 9x10 cells) or small (3x3, trace goldens)")
@@ -66,4 +65,8 @@ int main(int argc, char** argv) {
       "\nPaper: negligible improvement -- every processor must receive all n\n"
       "items, so the slowest machine dictates the cost regardless of root.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

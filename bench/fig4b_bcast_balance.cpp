@@ -10,9 +10,8 @@
 #include "experiments/figures.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("csv", "write the sweep to this CSV path")
       .allow("seed", "sweep master seed (default 2001)")
       .allow("threads", "sweep worker threads (default 1)");
@@ -37,4 +36,8 @@ int main(int argc, char** argv) {
   }
   std::puts("\nPaper: no benefit -- every processor still receives all n items.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -44,9 +44,8 @@ std::string tally_block(const hbsp::svc::LoadReport& report) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("mode", "arrival model: open or closed (default open)")
       .allow("threads", "service executor threads (default 1)")
       .allow("shards", "admission-queue shards (default 1)")
@@ -114,4 +113,8 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -96,8 +96,7 @@ struct Prediction {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("threads", "worker threads for the case sweep (default 1)");
   cli.validate();
 
@@ -179,4 +178,8 @@ int main(int argc, char** argv) {
       "the destination-cost extension recovers the per-level link penalty the\n"
       "single-r model still misses on hierarchies.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -125,8 +125,7 @@ WorkloadResult run_workload(const std::string& name, std::int64_t reps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("out", "output JSON path (default BENCH_3.json)")
       .allow("pr", "PR number stamped into the snapshot (default 3)")
       .allow("threads", "sweep worker threads (default 1)")
@@ -291,4 +290,8 @@ int main(int argc, char** argv) {
       results.size(), out_path.c_str(), threads,
       static_cast<long long>(iters), static_cast<long long>(reps));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

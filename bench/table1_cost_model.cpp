@@ -13,6 +13,7 @@
 #include "core/topology.hpp"
 #include "experiments/figures.hpp"
 #include "sim/cluster_sim.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -112,7 +113,8 @@ void validate_superstep_costs(const MachineTree& tree, const char* title) {
 
 }  // namespace
 
-int main() {
+int run(hbsp::util::Cli& cli) {
+  cli.validate();
   const MachineTree testbed = make_paper_testbed(10);
   print_parameters(testbed, "10-workstation testbed (HBSP^1)");
   validate_superstep_costs(testbed, "testbed");
@@ -126,4 +128,8 @@ int main() {
       "model charges g*h while the substrate adds receive-side processing,\n"
       "per-message overheads, latency and shared-medium contention.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -66,6 +66,12 @@ run_suite() {
 plain_leg() {
   run_suite build-ci "" -DHBSPK_WERROR=ON
 
+  # The tracing and serving suites drive concurrent services: repeat them
+  # under -j so an ordering-dependent test cannot pass on one lucky run.
+  echo "== ctest build-ci (trace + svc suites, repeat until-fail:20)"
+  ctest --test-dir build-ci -j "${JOBS}" --output-on-failure \
+    --repeat until-fail:20 -R 'test_trace|test_svc'
+
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN

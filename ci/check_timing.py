@@ -23,10 +23,18 @@ Three checks over the snapshot (schema v3):
 
 Usage: ci/check_timing.py CANDIDATE.json [BASELINE.json]
 Exit 0 when every check passes, 1 otherwise.
+
+Re-pin mode, used by `UPDATE_BASELINE=1 ci/perf_gate.sh`:
+
+    ci/check_timing.py --pin SNAPSHOT.json BASELINE.json
+
+moves SNAPSHOT over BASELINE only if check 0 accepts it: a non-Release or
+sanitized snapshot is refused (exit 1) and BASELINE is left untouched.
 """
 
 import json
 import os
+import shutil
 import sys
 
 # Workloads whose warm reps run almost entirely from the plan/scenario
@@ -64,7 +72,20 @@ def refuse_ungateable(path, document):
     return False
 
 
+def pin(snapshot, baseline):
+    document = load(snapshot)
+    if document.get("meta") is None or refuse_ungateable(snapshot, document):
+        print(f"refusing to pin {snapshot} as {baseline}: a baseline must "
+              "come from a plain Release build", file=sys.stderr)
+        return 1
+    shutil.move(snapshot, baseline)
+    print(f"baseline re-pinned: {baseline} (review the diff and commit)")
+    return 0
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "--pin":
+        return pin(argv[2], argv[3])
     if len(argv) not in (2, 3):
         print(__doc__.strip(), file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 # workload basket, and fail on any drift in the deterministic counters.
 #
 #   ci/perf_gate.sh                    # validate + gate against BENCH_3.json
-#   UPDATE_BASELINE=1 ci/perf_gate.sh  # re-pin BENCH_3.json (then review+commit)
+#   UPDATE_BASELINE=1 ci/perf_gate.sh  # re-pin BENCH_3.json (then review+commit);
+#                                      # refused unless the build is plain Release
 #   JOBS=8 BUILD_DIR=build-ci-perf ci/perf_gate.sh
 #
 # What is gated and what is not:
@@ -63,8 +64,9 @@ echo "== traced profiling run (artifact only)"
 python3 ci/validate_trace.py "${BUILD_DIR}/BENCH_3.trace.json"
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
-  mv "${SNAPSHOT_OUT}" "${BASELINE}"
-  echo "baseline re-pinned: ${BASELINE} (review the diff and commit)"
+  # Refuses (exit 1, baseline untouched) unless the snapshot's meta block
+  # says plain Release: its timings become every later run's reference.
+  python3 ci/check_timing.py --pin "${SNAPSHOT_OUT}" "${BASELINE}"
   exit 0
 fi
 

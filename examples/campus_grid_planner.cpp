@@ -121,8 +121,7 @@ void hierarchy_overhead(const MachineTree& machine) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("topology", "topology file (default: the built-in Figure 1 machine)")
       .allow("n-items", "problem size in items (default 250000)");
   cli.validate();
@@ -139,4 +138,8 @@ int main(int argc, char** argv) {
   advise_broadcast(machine, n);
   hierarchy_overhead(machine);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -46,8 +46,7 @@ std::vector<double> parse_peer_scores(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("peers", "comma-separated composite scores of the other machines")
       .allow("kbytes", "collective problem size in KB (default 500)")
       .allow("quick", "shrink kernel workloads (for CI)");
@@ -124,4 +123,8 @@ int main(int argc, char** argv) {
       "MachineTree::build(...) or save it as a topology file:");
   std::fputs(serialize_topology(machine).c_str(), stdout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

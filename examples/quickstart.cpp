@@ -11,9 +11,11 @@
 #include "collectives/executors.hpp"
 #include "core/analysis.hpp"
 #include "core/topology_io.hpp"
+#include "util/cli.hpp"
 #include "util/units.hpp"
 
-int main() {
+int run(hbsp::util::Cli& cli) {
+  cli.validate();
   using namespace hbsp;
 
   // 1. An HBSP^1 machine: four workstations, the fastest has r = 1 (§3.3).
@@ -69,4 +71,8 @@ int main() {
   std::puts("      examples/campus_grid_planner (HBSP^2 strategy planning),");
   std::puts("      examples/heterogeneity_report (rank this host's hardware).");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

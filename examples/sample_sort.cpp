@@ -16,9 +16,8 @@
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
-int main(int argc, char** argv) {
+int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
-  util::Cli cli{argc, argv};
   cli.allow("n", "number of integers to sort (default 200000)")
       .allow("p", "number of testbed workstations, 2..10 (default 8)")
       .allow("hierarchical", "use the Figure 1 campus machine instead")
@@ -51,4 +50,8 @@ int main(int argc, char** argv) {
                 equal.virtual_seconds / balanced.virtual_seconds);
   }
   return balanced.valid ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

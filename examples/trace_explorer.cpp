@@ -41,8 +41,7 @@ coll::CollectiveKind pick_collective(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Cli cli{argc, argv};
+int run(hbsp::util::Cli& cli) {
   cli.allow("collective", "gather|broadcast|scatter|reduce (default gather)")
       .allow("machine", "testbed|campus|wan (default campus)")
       .allow("kbytes", "problem size in KB (default 200)")
@@ -94,4 +93,8 @@ int main(int argc, char** argv) {
       "https://ui.perfetto.dev to inspect the timeline.\n",
       sim.trace().events().size(), out.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hbsp::util::run_main(argc, argv, run);
 }

@@ -135,9 +135,13 @@ CollectiveAdvice advise(const MachineTree& tree, CollectiveKind kind,
   }
 
   {
-    auto& registry = obs::Registry::global();
-    registry.counter("coll.advise_calls").increment();
-    registry.counter("coll.candidates_evaluated").add(candidates.size());
+    // Resolved once per thread: Registry::global() never frees a shard.
+    thread_local obs::Counter advise_calls =
+        obs::Registry::global().counter("coll.advise_calls");
+    thread_local obs::Counter candidates_evaluated =
+        obs::Registry::global().counter("coll.candidates_evaluated");
+    advise_calls.increment();
+    candidates_evaluated.add(candidates.size());
   }
 
   CollectiveAdvice advice;

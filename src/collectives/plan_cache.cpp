@@ -106,7 +106,9 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup(
     if (it->second.plan != nullptr) {
       it->second.stamp = ++next_stamp_;
       lock.unlock();
-      registry.counter("plancache.hits").increment();
+      // Resolved once per thread: Registry::global() never frees a shard.
+      thread_local obs::Counter hits = registry.counter("plancache.hits");
+      hits.increment();
       return it->second.plan;
     }
     // Another thread is building this key: compute-once blocking keeps the
@@ -125,6 +127,7 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup(
     built->request = request;
     built->schedule = build_plan(tree, request);
     built->predicted_cost = CostModel{tree}.cost(built->schedule).total();
+    built->schedule_fingerprint = built->schedule.fingerprint();
     plan = std::move(built);
   } catch (...) {
     // Planner rejected the request (e.g. flat-only collective on a

@@ -81,11 +81,16 @@ struct PlanKey {
 };
 
 /// A memoized plan: the schedule plus its CostModel price on the machine it
-/// was built for (the §3.4 predicted cost the advisor would compute).
+/// was built for (the §3.4 predicted cost the advisor would compute), and
+/// the schedule's content fingerprint. PlanCache computes the fingerprint
+/// once, when it builds the plan; the plan is immutable from then on, so
+/// every cache key and response fingerprint derived from it reads the
+/// stored value instead of re-hashing the whole schedule.
 struct CachedPlan {
   PlanRequest request;
   CommSchedule schedule;
   double predicted_cost = 0.0;
+  std::uint64_t schedule_fingerprint = 0;  ///< == schedule.fingerprint()
 };
 
 class PlanCache {

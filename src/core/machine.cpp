@@ -165,9 +165,25 @@ MachineTree MachineTree::build(const MachineSpec& root, double g) {
     }
   }
 
+  // slowest_pid: a left-to-right scan of each subtree's pid range. The kEps
+  // tolerance is not transitive, so the children's answers cannot be
+  // combined; every node runs the full scan once here (O(p·k) in total).
+  for (auto& row : tree.levels_) {
+    for (Node& n : row) {
+      int slowest = n.leaf_begin;
+      for (int pid = n.leaf_begin + 1; pid < n.leaf_end; ++pid) {
+        if (tree.processor_r(pid) > tree.processor_r(slowest) + kEps) {
+          slowest = pid;
+        }
+      }
+      n.slowest_pid = slowest;
+    }
+  }
+
   // Structural fingerprint: every model parameter and the full shape in
-  // level-major order. Derived fields (global_c, coordinator_pid, leaf
-  // ranges) are pure functions of what is hashed, so they add nothing.
+  // level-major order. Derived fields (global_c, coordinator_pid,
+  // slowest_pid, leaf ranges) are pure functions of what is hashed, so they
+  // add nothing.
   util::Hash64 hash;
   hash.add_double(tree.g_);
   hash.add(tree.levels_.size());
@@ -231,15 +247,6 @@ MachineId MachineTree::processor(int pid) const {
 std::pair<int, int> MachineTree::processor_range(MachineId id) const {
   const Node& n = node(id);
   return {n.leaf_begin, n.leaf_end};
-}
-
-int MachineTree::slowest_pid(MachineId id) const {
-  const auto [first, last] = processor_range(id);
-  int slowest = first;
-  for (int pid = first + 1; pid < last; ++pid) {
-    if (processor_r(pid) > processor_r(slowest) + kEps) slowest = pid;
-  }
-  return slowest;
 }
 
 int MachineTree::lca_level(int pid_a, int pid_b) const {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "collectives/plan_cache.hpp"
 #include "experiments/figures.hpp"
 #include "experiments/sweep.hpp"
 #include "faults/fault_plan.hpp"
@@ -83,6 +84,12 @@ void write_chaos_csv(const ChaosTable& table, const std::string& path);
 /// fault-plan fingerprint; hits replay the captured sim.* metrics.
 [[nodiscard]] double simulate_makespan_with_faults(
     const MachineTree& tree, const CommSchedule& schedule,
+    const sim::SimParams& params, const faults::FaultInjector* injector);
+
+/// simulate_makespan_with_faults of a plan-cache plan's schedule, keyed by
+/// the fingerprint the plan stored when it was built.
+[[nodiscard]] double simulate_makespan_with_faults(
+    const MachineTree& tree, const coll::CachedPlan& plan,
     const sim::SimParams& params, const faults::FaultInjector* injector);
 
 /// Fig 3(a)/4(a) sweeps with a caller-supplied fault plan applied to every

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bytemark/ranking.hpp"
+#include "collectives/plan_cache.hpp"
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "experiments/sweep.hpp"
@@ -54,6 +55,13 @@ struct FigureConfig {
 /// replay the identical sim.* registry contribution.
 [[nodiscard]] double simulate_makespan(const MachineTree& tree,
                                        const CommSchedule& schedule,
+                                       const sim::SimParams& params);
+
+/// simulate_makespan of a plan-cache plan's schedule, keyed by the
+/// fingerprint the plan stored when it was built: a hit costs no schedule
+/// re-hash. Same cache entry and same result as the schedule form.
+[[nodiscard]] double simulate_makespan(const MachineTree& tree,
+                                       const coll::CachedPlan& plan,
                                        const sim::SimParams& params);
 
 /// The first p testbed machines with workload fractions re-estimated from a

@@ -13,26 +13,59 @@ ScenarioCache& ScenarioCache::global() {
   return cache;
 }
 
-ScenarioKey ScenarioCache::key_for(const MachineTree& tree,
-                                   const CommSchedule& schedule,
-                                   const sim::SimParams& params,
-                                   const faults::FaultInjector* injector) {
+namespace {
+
+ScenarioKey make_key(const MachineTree& tree,
+                     std::uint64_t schedule_fingerprint,
+                     const sim::SimParams& params,
+                     const faults::FaultInjector* injector) {
   util::Hash64 fault;
   fault.add(injector != nullptr ? 1u : 0u);
   fault.add(injector != nullptr ? injector->plan().fingerprint() : 0u);
   return ScenarioKey{
       .tree_fingerprint = tree.fingerprint(),
-      .schedule_fingerprint = schedule.fingerprint(),
+      .schedule_fingerprint = schedule_fingerprint,
       .params_fingerprint = params.fingerprint(),
       .fault_fingerprint = fault.digest(),
   };
+}
+
+}  // namespace
+
+ScenarioKey ScenarioCache::key_for(const MachineTree& tree,
+                                   const CommSchedule& schedule,
+                                   const sim::SimParams& params,
+                                   const faults::FaultInjector* injector) {
+  return make_key(tree, schedule.fingerprint(), params, injector);
+}
+
+ScenarioKey ScenarioCache::key_for(const MachineTree& tree,
+                                   const coll::CachedPlan& plan,
+                                   const sim::SimParams& params,
+                                   const faults::FaultInjector* injector) {
+  return make_key(tree, plan.schedule_fingerprint, params, injector);
 }
 
 double ScenarioCache::makespan(const MachineTree& tree,
                                const CommSchedule& schedule,
                                const sim::SimParams& params,
                                const faults::FaultInjector* injector) {
-  const ScenarioKey key = key_for(tree, schedule, params, injector);
+  return lookup(key_for(tree, schedule, params, injector), tree, schedule,
+                params, injector);
+}
+
+double ScenarioCache::makespan(const MachineTree& tree,
+                               const coll::CachedPlan& plan,
+                               const sim::SimParams& params,
+                               const faults::FaultInjector* injector) {
+  return lookup(key_for(tree, plan, params, injector), tree, plan.schedule,
+                params, injector);
+}
+
+double ScenarioCache::lookup(const ScenarioKey& key, const MachineTree& tree,
+                             const CommSchedule& schedule,
+                             const sim::SimParams& params,
+                             const faults::FaultInjector* injector) {
   auto& registry = obs::Registry::global();
 
   std::unique_lock lock{mutex_};
@@ -43,7 +76,9 @@ double ScenarioCache::makespan(const MachineTree& tree,
       it->second.stamp = ++next_stamp_;
       const auto result = it->second.result;
       lock.unlock();
-      registry.counter("scenario.hits").increment();
+      // Resolved once per thread: Registry::global() never frees a shard.
+      thread_local obs::Counter hits = registry.counter("scenario.hits");
+      hits.increment();
       // Replay the builder's registry contribution so totals are identical
       // to an uncached re-simulation.
       sim::replay_run_metrics(result->metrics);

@@ -35,6 +35,7 @@
 #include <memory>
 #include <mutex>
 
+#include "collectives/plan_cache.hpp"
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "faults/injector.hpp"
@@ -77,11 +78,25 @@ class ScenarioCache {
       const MachineTree& tree, const CommSchedule& schedule,
       const sim::SimParams& params, const faults::FaultInjector* injector);
 
+  /// The same key for a plan-cache plan, read from the fingerprint the plan
+  /// stored when it was built: O(1) in the schedule's size. There is
+  /// deliberately no overload taking a raw schedule hash — a wrong value
+  /// would serve another scenario's makespan.
+  [[nodiscard]] static ScenarioKey key_for(
+      const MachineTree& tree, const coll::CachedPlan& plan,
+      const sim::SimParams& params, const faults::FaultInjector* injector);
+
   /// The memoized makespan of the scenario, simulating on first use.
   /// A hit replays the captured sim.* metrics into the global registry; a
   /// miss simulates (the simulator flushes its own metrics as usual).
   /// Concurrent requests for the same key block until the builder finishes.
   double makespan(const MachineTree& tree, const CommSchedule& schedule,
+                  const sim::SimParams& params,
+                  const faults::FaultInjector* injector = nullptr);
+
+  /// makespan() of `plan.schedule`, keyed by the plan's stored fingerprint.
+  /// Same entry, same result and same counters as the schedule overload.
+  double makespan(const MachineTree& tree, const coll::CachedPlan& plan,
                   const sim::SimParams& params,
                   const faults::FaultInjector* injector = nullptr);
 
@@ -98,6 +113,11 @@ class ScenarioCache {
     std::shared_ptr<const ScenarioResult> result;  ///< null while simulating
     std::uint64_t stamp = 0;                       ///< last access, monotone
   };
+
+  /// Both makespan() forms, once the key is known.
+  double lookup(const ScenarioKey& key, const MachineTree& tree,
+                const CommSchedule& schedule, const sim::SimParams& params,
+                const faults::FaultInjector* injector);
 
   /// Must hold mutex_. Evicts least-recently-used completed entries until
   /// the size bound holds; in-flight builds are never victims.

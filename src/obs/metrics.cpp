@@ -1,10 +1,27 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 
 namespace hbsp::obs {
+
+namespace {
+
+/// bucket_lower_bound(1..kHistogramBuckets-1), built by the same repeated
+/// `*= 4.0`, so every entry is exactly the double that function returns.
+constexpr std::array<double, kHistogramBuckets - 1> kBucketBounds = [] {
+  std::array<double, kHistogramBuckets - 1> bounds{};
+  double bound = 1e-9;
+  for (double& entry : bounds) {
+    entry = bound;
+    bound *= 4.0;
+  }
+  return bounds;
+}();
+
+}  // namespace
 
 double bucket_lower_bound(std::size_t i) noexcept {
   if (i == 0) return 0.0;
@@ -14,13 +31,12 @@ double bucket_lower_bound(std::size_t i) noexcept {
 }
 
 std::size_t bucket_index(double value) noexcept {
-  std::size_t i = 0;
-  double bound = 1e-9;
-  while (i + 1 < kHistogramBuckets && value >= bound) {
-    ++i;
-    bound *= 4.0;
-  }
-  return i;
+  // NaN (and everything below the first bound) lands in bucket 0: every
+  // comparison with NaN is false. upper_bound alone would send NaN last.
+  if (!(value >= kBucketBounds.front())) return 0;
+  return static_cast<std::size_t>(
+      std::upper_bound(kBucketBounds.begin(), kBucketBounds.end(), value) -
+      kBucketBounds.begin());
 }
 
 namespace detail {

@@ -124,27 +124,53 @@ SimResult ClusterSim::run(const CommSchedule& schedule) {
   return result;
 }
 
-void replay_run_metrics(const RunMetrics& metrics) {
-  auto& registry = obs::Registry::global();
-  registry.counter("sim.runs").add(metrics.runs);
-  registry.counter("sim.phases").add(metrics.phases);
-  registry.counter("sim.plans").add(metrics.plans);
-  registry.counter("sim.ghost_plans").add(metrics.ghost_plans);
-  registry.counter("sim.send_attempts").add(metrics.send_attempts);
-  registry.counter("sim.messages_delivered").add(metrics.messages_delivered);
-  registry.counter("sim.messages_lost").add(metrics.messages_lost);
-  registry.counter("sim.retries").add(metrics.retries);
-  registry.counter("sim.machines_excluded").add(metrics.machines_excluded);
-  registry.counter("sim.barriers").add(metrics.barriers);
-  registry.counter("sim.barrier_stalls").add(metrics.barrier_stalls);
-  registry.counter("sim.slowdown_hits").add(metrics.slowdown_hits);
-  registry.counter("sim.events").add(metrics.events);
+namespace {
+
+/// The sim.* handles a replay writes, resolved once per thread: replay runs
+/// on every ScenarioCache hit, and Registry::global() never frees a shard
+/// (reset() zeroes cells in place), so the handles stay valid for good.
+struct ReplayHandles {
+  obs::Registry& registry = obs::Registry::global();
+  obs::Counter runs = registry.counter("sim.runs");
+  obs::Counter phases = registry.counter("sim.phases");
+  obs::Counter plans = registry.counter("sim.plans");
+  obs::Counter ghost_plans = registry.counter("sim.ghost_plans");
+  obs::Counter send_attempts = registry.counter("sim.send_attempts");
+  obs::Counter messages_delivered = registry.counter("sim.messages_delivered");
+  obs::Counter messages_lost = registry.counter("sim.messages_lost");
+  obs::Counter retries = registry.counter("sim.retries");
+  obs::Counter machines_excluded = registry.counter("sim.machines_excluded");
+  obs::Counter barriers = registry.counter("sim.barriers");
+  obs::Counter barrier_stalls = registry.counter("sim.barrier_stalls");
+  obs::Counter slowdown_hits = registry.counter("sim.slowdown_hits");
+  obs::Counter events = registry.counter("sim.events");
   obs::Histogram wire = registry.histogram("sim.plan_wire_seconds");
-  for (const double s : metrics.plan_wire_seconds) wire.record(s);
   obs::Histogram span = registry.histogram("sim.plan_span_seconds");
-  for (const double s : metrics.plan_span_seconds) span.record(s);
   obs::Histogram makespan = registry.histogram("sim.run_makespan_seconds");
-  for (const double s : metrics.run_makespan_seconds) makespan.record(s);
+};
+
+}  // namespace
+
+void replay_run_metrics(const RunMetrics& metrics) {
+  thread_local ReplayHandles h;
+  h.runs.add(metrics.runs);
+  h.phases.add(metrics.phases);
+  h.plans.add(metrics.plans);
+  h.ghost_plans.add(metrics.ghost_plans);
+  h.send_attempts.add(metrics.send_attempts);
+  h.messages_delivered.add(metrics.messages_delivered);
+  h.messages_lost.add(metrics.messages_lost);
+  h.retries.add(metrics.retries);
+  h.machines_excluded.add(metrics.machines_excluded);
+  h.barriers.add(metrics.barriers);
+  h.barrier_stalls.add(metrics.barrier_stalls);
+  h.slowdown_hits.add(metrics.slowdown_hits);
+  h.events.add(metrics.events);
+  // Value by value, in capture order: the histogram sums then match a fresh
+  // run's bit for bit.
+  for (const double s : metrics.plan_wire_seconds) h.wire.record(s);
+  for (const double s : metrics.plan_span_seconds) h.span.record(s);
+  for (const double s : metrics.run_makespan_seconds) h.makespan.record(s);
 }
 
 std::vector<PlanTiming> ClusterSim::execute_phase(const Phase& phase) {

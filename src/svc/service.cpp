@@ -42,7 +42,7 @@ const char* to_string(Outcome outcome) noexcept {
 std::uint64_t ResponseBody::content_fingerprint() const noexcept {
   util::Hash64 hash;
   hash.add(coll::plan_request_fingerprint(spec));
-  hash.add(plan != nullptr ? plan->schedule.fingerprint() : 0u);
+  hash.add(plan != nullptr ? plan->schedule_fingerprint : 0u);
   hash.add_double(plan != nullptr ? plan->predicted_cost : 0.0);
   hash.add_int(simulated ? 1 : 0);
   hash.add_double(simulated_makespan);
@@ -179,9 +179,20 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
   obs::Registry& registry = obs::Registry::global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   std::lock_guard lock{mutex_};
-  registry.counter("svc.requests").increment();
-  registry.counter(std::string{"svc.requests."} + to_string(request.kind))
-      .increment();
+  // The warm-path handles, resolved once per thread: Registry::global()
+  // never frees a shard, and reset() zeroes cells in place. A per-kind
+  // counter is created on that kind's first request, as before, so a
+  // snapshot lists only the kinds that were submitted.
+  thread_local obs::Counter requests = registry.counter("svc.requests");
+  thread_local std::optional<obs::Counter> requests_by_kind[3];
+  std::optional<obs::Counter>& by_kind =
+      requests_by_kind[static_cast<std::size_t>(request.kind)];
+  if (!by_kind) {
+    by_kind = registry.counter(std::string{"svc.requests."} +
+                               to_string(request.kind));
+  }
+  requests.increment();
+  by_kind->increment();
   // Every submit owns an ordinal; at trace_sample_every == 1 each sampled
   // ordinal yields exactly one kRequest span, so span count == svc.requests.
   const std::uint64_t ordinal = next_ordinal_++;
@@ -198,7 +209,8 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
       if (!job->request.same_content(request)) continue;  // hash collision
       job->member_submits.push_back(now);
       job->effective_deadline = std::max(job->effective_deadline, deadline.at);
-      registry.counter("svc.coalesced").increment();
+      thread_local obs::Counter coalesced = registry.counter("svc.coalesced");
+      coalesced.increment();
       if (traced) {
         recorder.record_span(
             request_track(ordinal), "coalesced", obs::SpanKind::kRequest,
@@ -288,7 +300,7 @@ Response Service::compute(const Canonical& request) {
       response.body.simulated = true;
       t0 = tracing ? now_seconds() : 0.0;
       response.body.simulated_makespan = exp::simulate_makespan(
-          *request.tree, response.body.plan->schedule, request.params);
+          *request.tree, *response.body.plan, request.params);
       stage("simulate", t0);
       response.body.rationale = advice.rationale;
       break;
@@ -312,11 +324,10 @@ Response Service::compute(const Canonical& request) {
       if (request.fault_plan != nullptr) {
         const faults::FaultInjector injector{*request.fault_plan};
         response.body.simulated_makespan = exp::simulate_makespan_with_faults(
-            *request.tree, response.body.plan->schedule, request.params,
-            &injector);
+            *request.tree, *response.body.plan, request.params, &injector);
       } else {
         response.body.simulated_makespan = exp::simulate_makespan(
-            *request.tree, response.body.plan->schedule, request.params);
+            *request.tree, *response.body.plan, request.params);
       }
       stage("simulate", t0);
       break;
@@ -415,12 +426,15 @@ void Service::execute(const std::shared_ptr<Job>& job) {
     return;
   }
 
-  registry.counter("svc.completed").add(members.size());
-  obs::Histogram latency = registry.histogram("svc.latency_seconds");
+  thread_local obs::Counter completed = registry.counter("svc.completed");
+  thread_local obs::Histogram latency =
+      registry.histogram("svc.latency_seconds");
+  thread_local obs::Histogram exec = registry.histogram("svc.exec_seconds");
+  completed.add(members.size());
   for (const double submitted : members) {
     latency.record(std::max(0.0, end - submitted));
   }
-  registry.histogram("svc.exec_seconds").record(std::max(0.0, end - start));
+  exec.record(std::max(0.0, end - start));
 
   response.provenance =
       Provenance{job->key, job->shard, members.size(), end};

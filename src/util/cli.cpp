@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
 
@@ -16,7 +18,7 @@ Cli::Cli(int argc, const char* const* argv) {
       continue;
     }
     const std::string body = arg.substr(2);
-    if (body.empty()) throw std::invalid_argument{"bare '--' is not a flag"};
+    if (body.empty()) throw CliError{"bare '--' is not a flag", usage()};
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
       flags_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -34,9 +36,12 @@ Cli& Cli::allow(const std::string& name, const std::string& help) {
 }
 
 void Cli::validate() const {
+  if (flags_.contains("help") && !known_.contains("help")) {
+    throw CliHelp{usage()};
+  }
   for (const auto& [name, value] : flags_) {
     if (!known_.contains(name)) {
-      throw std::invalid_argument{"unknown flag --" + name + "\n" + help()};
+      throw CliError{"unknown flag --" + name, usage()};
     }
   }
 }
@@ -67,9 +72,9 @@ std::int64_t Cli::get_positive_int(const std::string& name,
   errno = 0;
   const long long value = digits_only ? std::strtoll(text.c_str(), nullptr, 10) : 0;
   if (!digits_only || errno == ERANGE || value <= 0) {
-    throw std::invalid_argument{"--" + name +
-                                " expects a positive integer, got '" + text +
-                                "'"};
+    throw CliError{
+        "--" + name + " expects a positive integer, got '" + text + "'",
+        usage()};
   }
   return value;
 }
@@ -93,9 +98,9 @@ double Cli::get_positive_double(const std::string& name,
   const bool parsed = end != nullptr && *end == '\0' && !text.empty();
   if (!parsed || errno == ERANGE || !(value > 0.0) ||
       value > std::numeric_limits<double>::max()) {
-    throw std::invalid_argument{"--" + name +
-                                " expects a positive number, got '" + text +
-                                "'"};
+    throw CliError{
+        "--" + name + " expects a positive number, got '" + text + "'",
+        usage()};
   }
   return value;
 }
@@ -114,6 +119,31 @@ std::string Cli::help() const {
     text += '\n';
   }
   return text;
+}
+
+std::string Cli::usage() const {
+  return "usage: " + (program_.empty() ? std::string{"program"} : program_) +
+         " [flags]\n" + help();
+}
+
+int run_main(int argc, const char* const* argv, int (*body)(Cli& cli)) {
+  const std::string program = argc > 0 ? argv[0] : "program";
+  try {
+    Cli cli{argc, argv};
+    return body(cli);
+  } catch (const CliHelp& help) {
+    std::cout << help.usage;
+    return 0;
+  } catch (const CliError& error) {
+    std::cerr << program << ": " << error.what() << '\n' << error.usage();
+    return 2;
+  } catch (const std::exception& error) {
+    std::cerr << program << ": error: " << error.what() << '\n';
+    return 1;
+  } catch (...) {
+    std::cerr << program << ": error: unknown exception\n";
+    return 1;
+  }
 }
 
 }  // namespace hbsp::util

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <random>
 
 #include "core/topology.hpp"
 
@@ -198,6 +200,52 @@ TEST(MachineTreeValidation, RejectsOutOfRangeQueries) {
   EXPECT_THROW((void)tree.machines_at(5), std::out_of_range);
   EXPECT_THROW((void)tree.processor(9), std::out_of_range);
   EXPECT_THROW((void)tree.node(MachineId{0, 7}), std::out_of_range);
+}
+
+TEST(MachineTree, StoredSlowestPidEqualsTheScanUnderNearTies) {
+  // slowest_pid is computed once per node at build time. It must equal the
+  // left-to-right scan (`> slowest + kEps`, ties to the lowest pid) on trees
+  // whose r values sit within the 1e-9 tolerance of each other, where the
+  // tolerance makes "slowest" depend on the scan order.
+  // Steps of 0.6e-9: neighbours tie, values two steps apart do not. On
+  // these trees, combining the children's answers instead of scanning
+  // differs from the scan at 7 of ~1400 interior nodes.
+  const double near[] = {1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 2.0,
+                         2.0 + 6e-10, 2.0 + 1.2e-9, 2.0 + 1.8e-9};
+  std::mt19937_64 rng{20010423};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto make = [&](auto&& self, int depth) -> MachineSpec {
+    MachineSpec spec;
+    if (depth <= 0) {
+      spec.r = near[pick(std::size(near))];
+      return spec;
+    }
+    const std::size_t fanout = 1 + pick(4);
+    for (std::size_t j = 0; j < fanout; ++j) {
+      const int child_depth = depth - 1 - static_cast<int>(pick(2));
+      spec.children.push_back(self(self, child_depth));
+    }
+    return spec;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    MachineSpec root = make(make, 1 + trial % 3);
+    root.children.push_back(leaf("anchor", 1.0));  // the model needs an r == 1
+    const MachineTree tree = MachineTree::build(root, 1.0);
+    for (int level = 0; level < tree.num_levels(); ++level) {
+      for (const MachineId id : tree.level_ids(level)) {
+        const auto [first, last] = tree.processor_range(id);
+        int slowest = first;
+        for (int pid = first + 1; pid < last; ++pid) {
+          if (tree.processor_r(pid) > tree.processor_r(slowest) + 1e-9) {
+            slowest = pid;
+          }
+        }
+        EXPECT_EQ(tree.slowest_pid(id), slowest) << "trial " << trial;
+      }
+    }
+  }
 }
 
 // --- property tests over random trees ---------------------------------------

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -123,6 +125,68 @@ TEST(ObsHistogram, BucketBoundsAreExponential) {
   EXPECT_EQ(obs::bucket_index(5e-10), 0u);
   EXPECT_EQ(obs::bucket_index(2e-9), 1u);
   EXPECT_EQ(obs::bucket_index(1e30), obs::kHistogramBuckets - 1);
+}
+
+/// bucket_index as the linear walk over the bounds it replaced.
+std::size_t bucket_index_by_walk(double value) {
+  std::size_t i = 0;
+  double bound = 1e-9;
+  while (i + 1 < obs::kHistogramBuckets && value >= bound) {
+    ++i;
+    bound *= 4.0;
+  }
+  return i;
+}
+
+TEST(ObsHistogram, BucketIndexEqualsTheLinearWalk) {
+  std::vector<double> probes = {0.0,
+                                -0.0,
+                                -1e-12,
+                                -5.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t i = 1; i <= obs::kHistogramBuckets; ++i) {
+    const double bound = obs::bucket_lower_bound(i);
+    probes.push_back(bound);
+    probes.push_back(std::nextafter(bound, 0.0));
+    probes.push_back(std::nextafter(bound, HUGE_VAL));
+  }
+  for (const double value : probes) {
+    EXPECT_EQ(obs::bucket_index(value), bucket_index_by_walk(value)) << value;
+  }
+  EXPECT_EQ(obs::bucket_index(std::numeric_limits<double>::quiet_NaN()), 0u);
+}
+
+TEST(ObsRegistry, ResolvedHandleSurvivesReset) {
+  // The warm paths keep per-thread handles into Registry::global(); reset()
+  // zeroes cells in place, so an increment through a handle resolved before
+  // the reset shows in the next snapshot.
+  Registry local;
+  obs::Counter handle = local.counter("resolved");
+  handle.add(5);
+  local.reset();
+  EXPECT_EQ(local.snapshot().counter("resolved"), 0u);
+  handle.increment();
+  EXPECT_EQ(local.snapshot().counter("resolved"), 1u);
+
+  // The same through a production warm path: a ScenarioCache hit counts
+  // scenario.hits and replays sim.runs through handles that an earlier hit
+  // on this thread resolved.
+  const MachineTree tree = make_paper_testbed(4);
+  const auto plan = coll::PlanCache::global().get(
+      tree, {.kind = coll::CollectiveKind::kGather, .n = 777, .root_pid = 0});
+  exp::ScenarioCache cache;
+  (void)cache.makespan(tree, *plan, sim::SimParams{});  // miss
+  (void)cache.makespan(tree, *plan, sim::SimParams{});  // hit: resolves
+  Registry& registry = Registry::global();
+  registry.reset();
+  (void)cache.makespan(tree, *plan, sim::SimParams{});  // hit after reset
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("scenario.hits"), 1u);
+  EXPECT_EQ(snap.counter("sim.runs"), 1u);
 }
 
 TEST(ObsHistogram, RecordTracksCountSumMinMax) {

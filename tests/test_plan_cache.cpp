@@ -19,6 +19,8 @@
 #include "experiments/chaos.hpp"
 #include "experiments/figures.hpp"
 #include "experiments/scenario_cache.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
 #include "obs/metrics.hpp"
 
 namespace hbsp::coll {
@@ -240,6 +242,60 @@ TEST(PlanCacheErrors, PlannerRejectionLeavesNoPlaceholder) {
                              .n = 100,
                              .root_pid = tree.coordinator_pid(tree.root())}),
             nullptr);
+}
+
+TEST(PlanCacheFingerprint, StoredScheduleFingerprintEqualsRecomputation) {
+  // The memo behind O(1) warm hits: every plan carries the fingerprint of
+  // its own schedule, on every machine of the basket and at p = 4096, k = 4.
+  static constexpr double kCycleR[] = {1.0, 1.5, 2.0, 3.0};
+  auto basket = machine_basket();
+  basket.emplace_back("uniform_k4_p4096", make_uniform_tree(4, 8, kCycleR));
+  const sim::SimParams params;
+  for (const auto& [name, tree] : basket) {
+    PlanCache cache;
+    for (const PlanRequest& request : request_basket(tree)) {
+      const auto plan = cache.get(tree, request);
+      EXPECT_EQ(plan->schedule_fingerprint, plan->schedule.fingerprint())
+          << name;
+      // The plan-keyed scenario key is the schedule-keyed one.
+      EXPECT_EQ(exp::ScenarioCache::key_for(tree, *plan, params, nullptr),
+                exp::ScenarioCache::key_for(tree, plan->schedule, params,
+                                            nullptr))
+          << name;
+    }
+  }
+}
+
+TEST(PlanCacheFingerprint, PlanKeyedSimulationSharesTheScheduleKeyedEntry) {
+  // Under seeded fault plans too: the plan-keyed entry point finds the entry
+  // the schedule-keyed one built (a hit, same makespan), and vice versa.
+  const MachineTree tree = make_paper_testbed(10);
+  const sim::SimParams params;
+  exp::ScenarioCache cache;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    faults::ChaosOptions options;
+    options.slowdown_rate = 2.0;
+    options.message_loss_probability = 0.05;
+    const faults::FaultInjector injector{
+        faults::make_chaos_plan(tree.num_processors(), options, seed)};
+    const auto plan = PlanCache::global().get(
+        tree, {.kind = CollectiveKind::kGather,
+               .n = 1000 + seed,
+               .root_pid = static_cast<int>(seed)});
+    EXPECT_EQ(exp::ScenarioCache::key_for(tree, *plan, params, &injector),
+              exp::ScenarioCache::key_for(tree, plan->schedule, params,
+                                          &injector));
+
+    const std::uint64_t misses = counter("scenario.misses");
+    const std::uint64_t hits = counter("scenario.hits");
+    const double by_schedule =
+        cache.makespan(tree, plan->schedule, params, &injector);
+    EXPECT_EQ(cache.makespan(tree, *plan, params, &injector), by_schedule);
+    EXPECT_EQ(cache.makespan(tree, plan->schedule, params, &injector),
+              by_schedule);
+    EXPECT_EQ(counter("scenario.misses") - misses, 1u);
+    EXPECT_EQ(counter("scenario.hits") - hits, 2u);
+  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "obs/metrics.hpp"
+#include "util/hash.hpp"
 
 namespace hbsp::svc {
 namespace {
@@ -471,6 +472,42 @@ TEST(SvcObservability, CountersAndQueueDepthGaugeAreRecorded) {
       snapshot.histogram("svc.latency_seconds");
   ASSERT_NE(latency, nullptr);
   EXPECT_GE(latency->count, 2u);
+}
+
+TEST(SvcDifferential, ContentFingerprintEqualsRecomputationFromSchedule) {
+  // content_fingerprint() reads the plan's stored schedule fingerprint; it
+  // must equal the digest recomputed by re-hashing the schedule itself.
+  const auto recomputed = [](const ResponseBody& body) {
+    util::Hash64 hash;
+    hash.add(coll::plan_request_fingerprint(body.spec));
+    hash.add(body.plan->schedule.fingerprint());
+    hash.add_double(body.plan->predicted_cost);
+    hash.add_int(body.simulated ? 1 : 0);
+    hash.add_double(body.simulated_makespan);
+    hash.add_string(body.rationale);
+    return hash.digest();
+  };
+  for (const auto& [name, tree] : machine_basket()) {
+    Service service{ServiceConfig{1, 1, 0}};
+    for (const coll::CollectiveKind kind : advisable(*tree)) {
+      const Response advised =
+          served(service, AdviseRequest{tree, kind, 3000, {}});
+      ASSERT_EQ(advised.outcome, Outcome::kCompleted) << name;
+      EXPECT_EQ(advised.body.content_fingerprint(), recomputed(advised.body))
+          << name << " " << coll::to_string(kind);
+
+      coll::PlanRequest spec = advised.body.spec;
+      spec.n = 1500;
+      Ticket ticket = service.submit(
+          SimulateRequest{tree, spec, sim::SimParams{}, nullptr});
+      service.pump();
+      const Response simulated = ticket.response.get();
+      ASSERT_EQ(simulated.outcome, Outcome::kCompleted) << name;
+      EXPECT_EQ(simulated.body.content_fingerprint(),
+                recomputed(simulated.body))
+          << name << " " << coll::to_string(kind);
+    }
+  }
 }
 
 }  // namespace

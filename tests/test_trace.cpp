@@ -22,7 +22,9 @@
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -98,6 +100,18 @@ svc::SimulateRequest simulate_request(
   spec.n = n;
   spec.root_pid = 0;
   return svc::SimulateRequest{tree, spec, sim::SimParams{}, nullptr};
+}
+
+/// The schedule fingerprints of simulate_request(tree, n) for each n.
+std::set<std::uint64_t> schedule_fingerprints(
+    const std::shared_ptr<const MachineTree>& tree,
+    const std::vector<std::size_t>& sizes) {
+  std::set<std::uint64_t> fingerprints;
+  for (const std::size_t n : sizes) {
+    fingerprints.insert(
+        coll::build_plan(*tree, simulate_request(tree, n).spec).fingerprint());
+  }
+  return fingerprints;
 }
 
 TEST(TraceRecorder, ParentLinksAndCanonicalOrder) {
@@ -307,7 +321,16 @@ TEST(TraceDeterminism, SvcRequestSpansReconcileWithCounters) {
 }
 
 TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
-  const auto run = [](int threads, int shards) {
+  // Distinct scenarios: a shared one would simulate under whichever request
+  // ran first and hit cache in the other — order-dependent.
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < 6; ++i) sizes.push_back(4000 + 7 * i);
+  ASSERT_EQ(schedule_fingerprints(std::make_shared<const MachineTree>(
+                                      make_paper_testbed(8)),
+                                  sizes)
+                .size(),
+            sizes.size());
+  const auto run = [&sizes](int threads, int shards) {
     clear_caches();
     auto& recorder = obs::TraceRecorder::global();
     recorder.clear();
@@ -317,10 +340,8 @@ TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
     {
       svc::Service service{svc::ServiceConfig{threads, shards, 64}};
       std::vector<svc::Ticket> tickets;
-      // Distinct scenarios: a shared one would simulate under whichever
-      // request ran first and hit cache in the other — order-dependent.
-      for (std::size_t i = 0; i < 6; ++i) {
-        tickets.push_back(service.submit(simulate_request(tree, 4000 + 7 * i)));
+      for (const std::size_t n : sizes) {
+        tickets.push_back(service.submit(simulate_request(tree, n)));
       }
       service.pump();
       for (auto& ticket : tickets) (void)ticket.response.get();
@@ -336,7 +357,20 @@ TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
 }
 
 TEST(TraceSampling, UnsampledRequestsAreFullyMuted) {
-  const auto traced_requests = [](std::uint64_t every, std::uint64_t seed) {
+  // The test's premise: twelve distinct scenarios. A repeated one would be a
+  // ScenarioCache hit — no simulator spans — whenever an unsampled twin ran
+  // first. (A gather never transfers the root's own share, so sizes that
+  // differ only in that share build identical schedules: 5002 and 5003 do
+  // on this machine.)
+  const auto premise_tree =
+      std::make_shared<const MachineTree>(make_paper_testbed(6));
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < 12; ++i) sizes.push_back(5000 + 100 * i);
+  ASSERT_EQ(schedule_fingerprints(premise_tree, sizes).size(), sizes.size());
+  ASSERT_EQ(schedule_fingerprints(premise_tree, {5002, 5003}).size(), 1u);
+
+  const auto traced_requests = [&sizes](std::uint64_t every,
+                                        std::uint64_t seed) {
     clear_caches();
     auto& recorder = obs::TraceRecorder::global();
     recorder.clear();
@@ -349,8 +383,8 @@ TEST(TraceSampling, UnsampledRequestsAreFullyMuted) {
       config.trace_seed = seed;
       svc::Service service{config};
       std::vector<svc::Ticket> tickets;
-      for (std::size_t i = 0; i < 12; ++i) {
-        tickets.push_back(service.submit(simulate_request(tree, 5000 + i)));
+      for (const std::size_t n : sizes) {
+        tickets.push_back(service.submit(simulate_request(tree, n)));
       }
       service.pump();
       for (auto& ticket : tickets) (void)ticket.response.get();
@@ -378,6 +412,44 @@ TEST(TraceSampling, UnsampledRequestsAreFullyMuted) {
   EXPECT_EQ(again.count(obs::SpanKind::kRequest), expected);
   EXPECT_EQ(obs::chrome_trace_json(again, obs::TraceFilter::kVirtualOnly),
             obs::chrome_trace_json(sampled, obs::TraceFilter::kVirtualOnly));
+}
+
+TEST(TraceSampling, CachedScenarioRecordsStagesButNoSimulatorSpans) {
+  // Pins today's warm-hit behaviour (DESIGN §9): a sampled request whose
+  // scenario is already cached records its kRequest root and stage spans
+  // but, unlike the cold request before it, no simulator spans.
+  clear_caches();
+  auto& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(6));
+  {
+    svc::Service service{svc::ServiceConfig{1, 1, 64}};
+    for (int round = 0; round < 2; ++round) {
+      svc::Ticket ticket = service.submit(simulate_request(tree, 7000));
+      service.pump();
+      (void)ticket.response.get();
+    }
+  }
+  recorder.set_enabled(false);
+
+  std::map<std::string, std::map<obs::SpanKind, std::size_t>> kinds;
+  for (const obs::SpanView& span : recorder.snapshot().spans) {
+    ++kinds[span.track.substr(0, 9)][span.kind];
+  }
+  ASSERT_EQ(kinds.size(), 2u);
+  const auto& cold = kinds["req000000"];
+  const auto& warm = kinds["req000001"];
+  for (const auto* request : {&cold, &warm}) {
+    EXPECT_EQ(request->at(obs::SpanKind::kRequest), 1u);
+    EXPECT_EQ(request->at(obs::SpanKind::kStage), 3u);  // queue, plan, simulate
+  }
+  EXPECT_GT(cold.count(obs::SpanKind::kSuperstep), 0u);
+  for (const obs::SpanKind sim_kind :
+       {obs::SpanKind::kPhase, obs::SpanKind::kSuperstep,
+        obs::SpanKind::kMessageBatch, obs::SpanKind::kBarrier}) {
+    EXPECT_EQ(warm.count(sim_kind), 0u) << obs::to_string(sim_kind);
+  }
 }
 
 TEST(TraceDisabled, RecordsNothingAndLeavesCountersUntouched) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -90,6 +92,47 @@ TEST(Cli, RejectsUnknownFlags) {
   Cli cli{2, argv};
   cli.allow("fine");
   EXPECT_THROW(cli.validate(), std::invalid_argument);
+}
+
+TEST(Cli, HelpIsReportedByValidateWithTheRegisteredFlags) {
+  const char* argv[] = {"prog", "--help"};
+  Cli cli{2, argv};
+  cli.allow("threads", "worker threads");
+  try {
+    cli.validate();
+    FAIL() << "validate() did not report --help";
+  } catch (const CliHelp& help) {
+    EXPECT_NE(help.usage.find("usage: prog"), std::string::npos);
+    EXPECT_NE(help.usage.find("--threads  worker threads"), std::string::npos);
+  }
+}
+
+/// run_main bodies: each registers one flag, validates, then acts on it.
+int body_returning_seven(Cli& cli) {
+  cli.allow("threads");
+  cli.validate();
+  (void)cli.get_positive_int("threads", 1);
+  return 7;
+}
+
+int body_failing_at_runtime(Cli& cli) {
+  cli.validate();
+  throw std::runtime_error{"the machine caught fire"};
+}
+
+TEST(Cli, RunMainMapsOutcomesToExitCodes) {
+  const char* plain[] = {"prog", "--threads", "2"};
+  EXPECT_EQ(run_main(3, plain, body_returning_seven), 7);
+  const char* help[] = {"prog", "--help"};
+  EXPECT_EQ(run_main(2, help, body_returning_seven), 0);
+  const char* unknown[] = {"prog", "--oops"};
+  EXPECT_EQ(run_main(2, unknown, body_returning_seven), 2);
+  const char* bad_value[] = {"prog", "--threads", "0"};
+  EXPECT_EQ(run_main(3, bad_value, body_returning_seven), 2);
+  const char* bare[] = {"prog", "--"};
+  EXPECT_EQ(run_main(2, bare, body_returning_seven), 2);
+  const char* none[] = {"prog"};
+  EXPECT_EQ(run_main(1, none, body_failing_at_runtime), 1);
 }
 
 TEST(Cli, PositiveIntAcceptsThreadsValues) {
