@@ -5,8 +5,8 @@
 //
 // The tally block (submitted/completed/coalesced/shed/checksum) is a pure
 // function of (--seed, --qps, --duration, --expired, mode) — identical at any
-// --threads and --shards — which is what `--tally PATH` exists for: CI writes
-// the block at two shard counts and requires the files byte-identical.
+// --threads — which is what `--tally PATH` exists for: CI writes the block at
+// two thread counts and requires the files byte-identical.
 // Latency and throughput are wall-clock measurements: reported, never gated.
 
 #include <cinttypes>
@@ -48,7 +48,6 @@ int run(hbsp::util::Cli& cli) {
   using namespace hbsp;
   cli.allow("mode", "arrival model: open or closed (default open)")
       .allow("threads", "service executor threads (default 1)")
-      .allow("shards", "admission-queue shards (default 1)")
       .allow("capacity", "admission-queue bound, 0 = unbounded (default 64)")
       .allow("qps", "arrival rate of the virtual schedule (default 200)")
       .allow("duration", "virtual seconds of arrivals (default 1)")
@@ -69,7 +68,6 @@ int run(hbsp::util::Cli& cli) {
                                 mode + "'"};
   }
   config.threads = static_cast<int>(cli.get_positive_int("threads", 1));
-  config.shards = static_cast<int>(cli.get_positive_int("shards", 1));
   const std::int64_t capacity = cli.get_int("capacity", 64);
   if (capacity < 0) {
     throw std::invalid_argument{"--capacity expects a non-negative integer"};
@@ -87,8 +85,8 @@ int run(hbsp::util::Cli& cli) {
 
   const svc::LoadReport report = svc::run_load(config);
 
-  std::printf("load_gen: mode=%s threads=%d shards=%d capacity=%zu\n",
-              svc::to_string(config.mode), config.threads, config.shards,
+  std::printf("load_gen: mode=%s threads=%d capacity=%zu\n",
+              svc::to_string(config.mode), config.threads,
               config.queue_capacity);
   std::printf("          qps=%.1f duration=%.2fs seed=%#" PRIx64
               " expired=%.3f\n",

@@ -210,7 +210,6 @@ int run(hbsp::util::Cli& cli) {
     svc::LoadConfig load;
     load.mode = svc::LoadMode::kOpenLoop;
     load.threads = threads;
-    load.shards = 4;
     load.queue_capacity = 12;
     load.qps = 400.0;
     load.duration = 0.5;

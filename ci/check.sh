@@ -10,9 +10,10 @@
 #   CONFIG=ubsan ci/check.sh    # standalone strict UBSan (no recover)
 #   CONFIG=lint  ci/check.sh    # hbsp-lint + clang-tidy-vs-baseline, no tests
 #   CONFIG=svc   ci/check.sh    # serving-layer smoke: svc tests + load_gen
-#                               #   tally shard/thread-invariance
-#   CONFIG=relperf ci/check.sh  # Release: perf_snapshot twice (process-level
-#                               #   counter determinism) + warm-cache timing
+#                               #   tally thread-invariance
+#   CONFIG=relperf ci/check.sh  # Release + WERROR: perf_snapshot twice
+#                               #   (process-level counter determinism) +
+#                               #   warm-cache timing
 #   JOBS=8 ci/check.sh          # parallel build/test width
 #
 # Each configuration builds into its own tree (build-ci, build-ci-tsan,
@@ -123,11 +124,10 @@ plain_leg() {
 }
 
 # Serving-layer smoke leg: builds the svc-labelled tests plus the load
-# generator, runs them, then drives one fixed-seed load_gen schedule at
-# (1 shard, 1 thread) and (8 shards, 4 threads) and requires the
-# deterministic tally blocks byte-identical — the ISSUE's shard-invariance
-# acceptance criterion, end to end on the real binary. The sanitizer legs
-# additionally run the same tests via their tier1 label.
+# generator, runs them, then drives one fixed-seed load_gen schedule at 1 and
+# 4 threads and requires the deterministic tally blocks byte-identical — the
+# serving layer's thread-invariance claim, end to end on the real binary. The
+# sanitizer legs additionally run the same tests via their tier1 label.
 svc_leg() {
   run_suite build-ci-svc svc -DHBSPK_WERROR=ON
 
@@ -140,22 +140,24 @@ svc_leg() {
 
   local gen=build-ci-svc/bench/load_gen
   "${gen}" --qps 200 --duration 0.5 --expired 0.1 --capacity 8 \
-    --shards 1 --threads 1 --tally "${tmp}/s1.tally" >/dev/null
+    --threads 1 --tally "${tmp}/t1.tally" >/dev/null
   "${gen}" --qps 200 --duration 0.5 --expired 0.1 --capacity 8 \
-    --shards 8 --threads 4 --tally "${tmp}/s8.tally" >/dev/null
-  cmp "${tmp}/s1.tally" "${tmp}/s8.tally"
-  echo "load_gen tally byte-identical at (1 shard, 1 thread) vs (8 shards, 4 threads)"
+    --threads 4 --tally "${tmp}/t4.tally" >/dev/null
+  cmp "${tmp}/t1.tally" "${tmp}/t4.tally"
+  echo "load_gen tally byte-identical at 1 and 4 threads"
 }
 
 # Release-mode scenario-throughput leg: runs the perf_snapshot basket twice
 # in fresh processes and requires byte-identical counters (each run is
 # cache-cold at rep 0, so totals must agree run-to-run, not just
-# thread-to-thread), then gates the warm-cache speedup. Timing snapshots
-# land in build-ci-relperf/ for CI to upload as artifacts.
+# thread-to-thread), then gates the warm-cache speedup. The build is
+# -Werror, so warnings that only Release inlining exposes fail here. Timing
+# snapshots land in build-ci-relperf/ for CI to upload as artifacts.
 relperf_leg() {
   local dir=build-ci-relperf
-  echo "== configure ${dir} (Release)"
-  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  echo "== configure ${dir} (Release, WERROR)"
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release -DHBSPK_WERROR=ON \
+    >/dev/null
   echo "== build perf_snapshot"
   cmake --build "${dir}" -j "${JOBS}" --target perf_snapshot >/dev/null
 

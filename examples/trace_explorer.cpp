@@ -1,7 +1,8 @@
-// Trace explorer: run any collective on any built-in machine with full event
-// tracing, print a per-processor utilisation breakdown, and export a Chrome
-// tracing file (open it at chrome://tracing or https://ui.perfetto.dev to
-// see sender serialisation, the root's receive queue and barrier waits).
+// Trace explorer: run any collective on any built-in machine with span
+// tracing, print a per-processor utilisation breakdown, and export the
+// virtual-time spans as a Chrome tracing file (open it at chrome://tracing or
+// https://ui.perfetto.dev to see each machine's supersteps, send and receive
+// batches, and barrier waits).
 //
 //   ./build/examples/trace_explorer --collective gather --machine campus
 //                                   --kbytes 200 --out trace.json
@@ -12,8 +13,9 @@
 
 #include "collectives/advisor.hpp"
 #include "core/topology.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/cluster_sim.hpp"
-#include "sim/trace_export.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -63,8 +65,12 @@ int run(hbsp::util::Cli& cli) {
               advice.rationale.c_str());
   const auto schedule = advice.plan(machine, n);
 
-  sim::ClusterSim sim{machine, sim::SimParams{}, /*record_events=*/true};
+  auto& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  sim::ClusterSim sim{machine, sim::SimParams{}};
   const auto result = sim.run(schedule);
+  recorder.set_enabled(false);
   std::printf("simulated makespan: %s over %zu phase(s)\n\n",
               util::format_time(result.makespan).c_str(),
               result.phase_completion.size());
@@ -87,11 +93,12 @@ int run(hbsp::util::Cli& cli) {
   table.print();
 
   const std::string out = cli.get("out", "hbspk_trace.json");
-  sim::export_chrome_trace(sim.trace(), out);
+  const obs::TraceSnapshot snapshot = recorder.snapshot();
+  obs::write_chrome_trace(snapshot, out, obs::TraceFilter::kVirtualOnly);
   std::printf(
-      "\nWrote %zu trace events to %s - open in chrome://tracing or\n"
+      "\nWrote %zu spans to %s - open in chrome://tracing or\n"
       "https://ui.perfetto.dev to inspect the timeline.\n",
-      sim.trace().events().size(), out.c_str());
+      snapshot.spans.size(), out.c_str());
   return 0;
 }
 

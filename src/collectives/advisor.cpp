@@ -26,7 +26,10 @@ const char* shares_name(Shares shares) {
 
 std::string root_name(const MachineTree& tree, int pid) {
   const auto& name = tree.node(tree.processor(pid)).name;
-  return name.empty() ? "P" + std::to_string(pid) : name;
+  if (!name.empty()) return name;
+  std::string fallback = "P";
+  fallback += std::to_string(pid);
+  return fallback;
 }
 
 int count_supersteps(const CommSchedule& schedule) {

@@ -132,8 +132,10 @@ MachineTree make_random_tree(const RandomTreeOptions& options,
 
   const auto grow = [&](auto&& self, int depth) -> MachineSpec {
     MachineSpec spec;
-    spec.name = "n" + std::to_string(depth) + "_" +
-                std::to_string(rng.uniform_u64(0, 9999));
+    spec.name.append("n")
+        .append(std::to_string(depth))
+        .append("_")
+        .append(std::to_string(rng.uniform_u64(0, 9999)));
     const bool at_bottom = depth == options.levels;
     const bool degenerate =
         depth > 0 && !at_bottom &&
@@ -182,12 +184,12 @@ MachineTree make_uniform_tree(int levels, int fanout,
     MachineSpec spec;
     if (depth == levels) {
       spec.r = leaf_r_cycle[next_r % leaf_r_cycle.size()];
-      spec.name = "p" + std::to_string(next_r);
+      spec.name.append("p").append(std::to_string(next_r));
       ++next_r;
       return spec;
     }
     const int level = levels - depth;
-    spec.name = "c" + std::to_string(level);
+    spec.name.append("c").append(std::to_string(level));
     spec.sync_L = L_base * std::pow(10.0, level - 1);
     for (int i = 0; i < fanout; ++i) spec.children.push_back(self(self, depth + 1));
     return spec;

@@ -152,10 +152,12 @@ class Parser {
 void serialize_node(const MachineTree& tree, MachineId id, int indent,
                     std::ostringstream& out) {
   const auto& n = tree.node(id);
-  out << std::string(static_cast<std::size_t>(indent) * 2, ' ') << "machine "
-      << (n.name.empty() ? "m" + std::to_string(id.level) + "_" +
-                               std::to_string(id.index)
-                         : n.name);
+  out << std::string(static_cast<std::size_t>(indent) * 2, ' ') << "machine ";
+  if (n.name.empty()) {
+    out << 'm' << id.level << '_' << id.index;
+  } else {
+    out << n.name;
+  }
   char buffer[64];
   // Interior r/compute_r are derived from the coordinator, so only leaves
   // carry them in the file.

@@ -82,15 +82,20 @@ util::Table ChaosTable::to_table(const std::string& title,
 std::string chaos_csv(const ChaosTable& table) {
   std::string text = "collective,fault_rate";
   for (const double loss : table.loss_probs) {
-    text += "," + util::Table::num(loss, 4);
+    text += ',';
+    text += util::Table::num(loss, 4);
   }
   text += '\n';
   const auto emit = [&](const char* name,
                         const std::vector<std::vector<double>>& factor) {
     for (std::size_t i = 0; i < table.fault_rates.size(); ++i) {
       text += name;
-      text += "," + util::Table::num(table.fault_rates[i], 2);
-      for (const double f : factor[i]) text += "," + util::Table::num(f, 4);
+      text += ',';
+      text += util::Table::num(table.fault_rates[i], 2);
+      for (const double f : factor[i]) {
+        text += ',';
+        text += util::Table::num(f, 4);
+      }
       text += '\n';
     }
   };

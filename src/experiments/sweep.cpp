@@ -50,13 +50,15 @@ util::Table ImprovementTable::to_table(const std::string& title) const {
 std::string improvement_csv(const ImprovementTable& table) {
   std::string text = "p";
   for (const std::size_t kb : table.kbytes) {
-    text += "," + std::to_string(kb);
+    text += ',';
+    text += std::to_string(kb);
   }
   text += '\n';
   for (std::size_t i = 0; i < table.processors.size(); ++i) {
     text += std::to_string(table.processors[i]);
     for (const double f : table.factor[i]) {
-      text += "," + util::Table::num(f, 4);
+      text += ',';
+      text += util::Table::num(f, 4);
     }
     text += '\n';
   }

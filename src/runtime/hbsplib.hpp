@@ -14,18 +14,14 @@
 // the whole machine; `sync_scope(cluster)` runs the cluster-local barrier of
 // a super^i-step (concurrent across disjoint clusters).
 //
-// Two engines execute the same program:
-//   kVirtualTime  — processors are real threads, but time is the cluster
-//                   simulator's deterministic virtual clock (the default; the
-//                   reproduction's measurements all use this engine);
-//   kWallClock    — pure std::thread execution with real barriers; used to
-//                   cross-check payload semantics against the simulator.
+// Processors are real threads that move real payloads, but time is the
+// cluster simulator's deterministic virtual clock: every barrier prices the
+// superstep's traffic through sim::ClusterSim.
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -37,10 +33,6 @@ class FaultInjector;
 }  // namespace hbsp::faults
 
 namespace hbsp::rt {
-
-enum class EngineKind { kVirtualTime, kWallClock };
-
-[[nodiscard]] std::string_view to_string(EngineKind kind) noexcept;
 
 class Runtime;  // internal coordinator
 
@@ -104,11 +96,8 @@ class Hbsp {
   /// scope.
   void sync_scope(MachineId scope);
 
-  /// Current time of this processor: virtual seconds (kVirtualTime) or wall
-  /// seconds since the run started (kWallClock).
+  /// Current virtual time of this processor, in seconds.
   [[nodiscard]] double time() const;
-
-  [[nodiscard]] EngineKind engine() const noexcept;
 
   Hbsp(const Hbsp&) = delete;
   Hbsp& operator=(const Hbsp&) = delete;
@@ -132,18 +121,17 @@ struct RunResult {
 
 /// Tunables for a program run.
 struct RunOptions {
-  EngineKind engine = EngineKind::kVirtualTime;
   /// Wall-clock seconds a processor may wait at a barrier before the run is
   /// failed with "barrier timeout" — the guard against mismatched sync_scope
   /// calls deadlocking a program forever.
   double barrier_timeout_seconds = 60.0;
 
-  /// Optional fault injector for the virtual-time engine: slowdown windows,
-  /// message loss (re-sent with timeout/backoff), and machine drops perturb
-  /// the *virtual clock* exactly as in ClusterSim. Payload delivery between
-  /// program instances is unaffected — the simulated transport re-sends
-  /// until delivery — so program semantics stay intact while timings
-  /// degrade honestly. Must outlive the run; ignored by kWallClock.
+  /// Optional fault injector: slowdown windows, message loss (re-sent with
+  /// timeout/backoff), and machine drops perturb the *virtual clock* exactly
+  /// as in ClusterSim. Payload delivery between program instances is
+  /// unaffected — the simulated transport re-sends until delivery — so
+  /// program semantics stay intact while timings degrade honestly. Must
+  /// outlive the run.
   const faults::FaultInjector* fault_injector = nullptr;
 };
 
@@ -151,8 +139,7 @@ struct RunOptions {
 /// finish. Exceptions thrown by any instance are rethrown here (first one
 /// wins) after all threads have been joined.
 RunResult run_program(const MachineTree& tree, const sim::SimParams& params,
-                      const Program& program,
-                      EngineKind engine = EngineKind::kVirtualTime);
+                      const Program& program);
 
 /// As above with explicit options.
 RunResult run_program(const MachineTree& tree, const sim::SimParams& params,

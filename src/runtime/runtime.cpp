@@ -1,6 +1,5 @@
 // Superstep coordinator behind the Hbsp context: one std::thread per
-// processor, per-scope barriers, and timing from either the cluster
-// simulator (virtual time) or the wall clock.
+// processor, per-scope barriers, and virtual time from the cluster simulator.
 
 #include <algorithm>
 #include <chrono>
@@ -29,24 +28,15 @@ struct PeerFailure : std::exception {
 
 }  // namespace
 
-std::string_view to_string(EngineKind kind) noexcept {
-  return kind == EngineKind::kVirtualTime ? "virtual-time" : "wall-clock";
-}
-
 class Runtime {
  public:
   Runtime(const MachineTree& tree, const sim::SimParams& params,
           const RunOptions& options)
       : tree_(tree),
-        engine_(options.engine),
+        sim_(tree_, params),
         barrier_timeout_(std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::duration<double>(options.barrier_timeout_seconds))) {
-    if (engine_ == EngineKind::kVirtualTime) {
-      sim_ = std::make_unique<sim::ClusterSim>(tree_, params);
-      if (options.fault_injector != nullptr) {
-        sim_->set_fault_injector(options.fault_injector);
-      }
-    }
+    sim_.set_fault_injector(options.fault_injector);
     const auto p = static_cast<std::size_t>(tree_.num_processors());
     states_.resize(p);
     // Speed ranks: 0 = fastest, ties by pid.
@@ -63,7 +53,6 @@ class Runtime {
   }
 
   RunResult run(const Program& program) {
-    start_ = std::chrono::steady_clock::now();
     const int p = tree_.num_processors();
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(p));
@@ -73,7 +62,7 @@ class Runtime {
         try {
           program(ctx);
           std::lock_guard lock{mutex_};
-          states_[static_cast<std::size_t>(pid)].finish_time = time_locked(pid);
+          states_[static_cast<std::size_t>(pid)].finish_time = sim_.now(pid);
         } catch (const PeerFailure&) {
           // Another processor owns the root cause.
         } catch (...) {
@@ -102,7 +91,6 @@ class Runtime {
   // --- Hbsp backends --------------------------------------------------------
 
   [[nodiscard]] const MachineTree& tree() const noexcept { return tree_; }
-  [[nodiscard]] EngineKind engine() const noexcept { return engine_; }
   [[nodiscard]] int rank_of(int pid) const {
     return rank_of_[static_cast<std::size_t>(pid)];
   }
@@ -142,7 +130,7 @@ class Runtime {
 
   double time(int pid) {
     std::lock_guard lock{mutex_};
-    return time_locked(pid);
+    return sim_.now(pid);
   }
 
   void sync_scope(int pid, MachineId scope) {
@@ -218,13 +206,6 @@ class Runtime {
            static_cast<std::uint32_t>(id.index);
   }
 
-  [[nodiscard]] double time_locked(int pid) const {
-    if (engine_ == EngineKind::kVirtualTime) return sim_->now(pid);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
   void record_error(std::exception_ptr error) {
     if (!error_) error_ = std::move(error);
     failed_ = true;
@@ -257,11 +238,9 @@ class Runtime {
       }
     }
 
-    if (engine_ == EngineKind::kVirtualTime) {
-      Phase phase;
-      phase.plans.push_back(plan);
-      sim_->execute_phase(phase);
-    }
+    Phase phase;
+    phase.plans.push_back(plan);
+    sim_.execute_phase(phase);
 
     // Deliver payloads: available from the next superstep (§3.2).
     for (auto& [src, sends] : barrier.staged_sends) {
@@ -274,8 +253,7 @@ class Runtime {
   }
 
   const MachineTree& tree_;
-  EngineKind engine_;
-  std::unique_ptr<sim::ClusterSim> sim_;
+  sim::ClusterSim sim_;
   std::vector<PidState> states_;
   std::vector<int> rank_of_;
 
@@ -286,7 +264,6 @@ class Runtime {
   std::exception_ptr error_;
   bool failed_ = false;
   std::size_t supersteps_ = 0;
-  std::chrono::steady_clock::time_point start_;
 };
 
 // --- Hbsp forwarding ---------------------------------------------------------
@@ -330,13 +307,9 @@ void Hbsp::sync_scope(MachineId scope) { runtime_->sync_scope(pid_, scope); }
 
 double Hbsp::time() const { return runtime_->time(pid_); }
 
-EngineKind Hbsp::engine() const noexcept { return runtime_->engine(); }
-
 RunResult run_program(const MachineTree& tree, const sim::SimParams& params,
-                      const Program& program, EngineKind engine) {
-  RunOptions options;
-  options.engine = engine;
-  return run_program(tree, params, program, options);
+                      const Program& program) {
+  return run_program(tree, params, program, RunOptions{});
 }
 
 RunResult run_program(const MachineTree& tree, const sim::SimParams& params,

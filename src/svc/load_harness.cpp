@@ -212,9 +212,8 @@ LoadReport run_load(const LoadConfig& config) {
   if (config.clients < 1) {
     throw std::invalid_argument{"LoadConfig::clients must be >= 1"};
   }
-  if (config.threads < 1 || config.shards < 1) {
-    throw std::invalid_argument{
-        "LoadConfig::threads and shards must be >= 1"};
+  if (config.threads < 1) {
+    throw std::invalid_argument{"LoadConfig::threads must be >= 1"};
   }
   if (!(config.expired_fraction >= 0.0) || config.expired_fraction >= 1.0) {
     throw std::invalid_argument{
@@ -222,8 +221,7 @@ LoadReport run_load(const LoadConfig& config) {
   }
 
   const Machines machines;
-  Service service{ServiceConfig{config.threads, config.shards,
-                                config.queue_capacity}};
+  Service service{ServiceConfig{config.threads, config.queue_capacity}};
 
   const auto total = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::llround(config.qps * config.duration)));

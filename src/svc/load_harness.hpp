@@ -12,11 +12,10 @@
 //                   functions of (config.seed, mix parameters): the harness
 //                   submits each round's batch from one thread (admission
 //                   outcomes are decided synchronously in submit order) and
-//                   then pump()s the service to drain it, so thread count
-//                   and shard count can change *where* work runs but never
-//                   what happens to any request. The perf gate exact-matches
-//                   these, and the svc tests assert them across shard/thread
-//                   sweeps.
+//                   then pump()s the service to drain it, so the thread count
+//                   can change *where* work runs but never what happens to
+//                   any request. The perf gate exact-matches these, and the
+//                   svc tests assert them across thread counts.
 //
 //   measured        wall-clock throughput and p50/p95/p99 latency, computed
 //                   from client-side submit stamps and response completion
@@ -51,7 +50,6 @@ enum class LoadMode : std::uint8_t {
 struct LoadConfig {
   LoadMode mode = LoadMode::kOpenLoop;
   int threads = 1;   ///< service executor width
-  int shards = 1;    ///< service admission shards
   std::size_t queue_capacity = 64;  ///< service admission bound; 0 = unbounded
   double qps = 200.0;     ///< arrival rate of the virtual schedule (> 0)
   double duration = 1.0;  ///< virtual seconds of arrivals (> 0)

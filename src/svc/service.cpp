@@ -115,13 +115,10 @@ std::string request_track(std::uint64_t ordinal) {
 }  // namespace
 
 Service::Service(ServiceConfig config)
-    : config_{config.threads,
-              std::max(1, config.shards),
-              config.queue_capacity,
+    : config_{config.threads, config.queue_capacity,
               std::max<std::uint64_t>(1, config.trace_sample_every),
               config.trace_seed},
-      pool_(config.threads),
-      queues_(static_cast<std::size_t>(std::max(1, config.shards))) {}
+      pool_(config.threads) {}
 
 Service::~Service() { stop(); }
 
@@ -172,8 +169,6 @@ Ticket Service::submit(SimulateRequest request, Deadline deadline) {
 
 Ticket Service::admit(Canonical request, Deadline deadline) {
   const std::uint64_t key = request.key();
-  const int shard = static_cast<int>(
-      key % static_cast<std::uint64_t>(config_.shards));
   const double now = now_seconds();
 
   obs::Registry& registry = obs::Registry::global();
@@ -231,12 +226,12 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
     }
     Response response;
     response.outcome = Outcome::kRejectedDeadlineExceeded;
-    response.provenance = Provenance{key, shard, 1, now};
+    response.provenance = Provenance{key, 1, now};
     return Ticket{ready_future(std::move(response)), key, false};
   }
 
-  // 3. Capacity: the admission queue is bounded across all shards.
-  if (config_.queue_capacity > 0 && queued_ >= config_.queue_capacity) {
+  // 3. Capacity: the admission queue is bounded.
+  if (config_.queue_capacity > 0 && queue_.size() >= config_.queue_capacity) {
     registry.counter("svc.shed.queue_full").increment();
     if (traced) {
       recorder.record_span(request_track(ordinal), "shed.queue_full",
@@ -245,26 +240,24 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
     }
     Response response;
     response.outcome = Outcome::kRejectedQueueFull;
-    response.provenance = Provenance{key, shard, 1, now};
+    response.provenance = Provenance{key, 1, now};
     return Ticket{ready_future(std::move(response)), key, false};
   }
 
   auto job = std::make_shared<Job>();
   job->request = std::move(request);
   job->key = key;
-  job->shard = shard;
   job->ordinal = ordinal;
   job->traced = traced;
   job->effective_deadline = deadline.at;
   job->member_submits.push_back(now);
   job->future = job->promise.get_future().share();
 
-  queues_[static_cast<std::size_t>(shard)].push_back(job);
+  queue_.push_back(job);
   inflight_[key].push_back(job);
-  ++queued_;
-  if (queued_ > depth_high_water_) {
-    depth_high_water_ = queued_;
-    registry.gauge("svc.queue_depth").set(static_cast<double>(queued_));
+  if (queue_.size() > depth_high_water_) {
+    depth_high_water_ = queue_.size();
+    registry.gauge("svc.queue_depth").set(static_cast<double>(queue_.size()));
   }
   work_cv_.notify_one();
   return Ticket{job->future, key, false};
@@ -363,7 +356,7 @@ void Service::execute(const std::shared_ptr<Job>& job) {
       }
       Response response;
       response.outcome = Outcome::kRejectedDeadlineExceeded;
-      response.provenance = Provenance{job->key, job->shard, members, start};
+      response.provenance = Provenance{job->key, members, start};
       job->promise.set_value(std::move(response));
       return;
     }
@@ -436,21 +429,21 @@ void Service::execute(const std::shared_ptr<Job>& job) {
   }
   exec.record(std::max(0.0, end - start));
 
-  response.provenance =
-      Provenance{job->key, job->shard, members.size(), end};
+  response.provenance = Provenance{job->key, members.size(), end};
   job->promise.set_value(std::move(response));
 }
 
-void Service::drain_shard(std::size_t shard) {
+void Service::serve(bool park) {
   for (;;) {
     std::shared_ptr<Job> job;
     {
-      std::lock_guard lock{mutex_};
-      std::deque<std::shared_ptr<Job>>& queue = queues_[shard];
-      if (queue.empty()) return;
-      job = queue.front();
-      queue.pop_front();
-      --queued_;
+      std::unique_lock lock{mutex_};
+      if (park) {
+        work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      }
+      if (queue_.empty()) return;  // drained (and, when parked, stopping_)
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
     execute(job);
   }
@@ -464,36 +457,8 @@ void Service::pump() {
           "svc::Service::pump: background executor is running"};
     }
   }
-  pool_.parallel_for(static_cast<std::size_t>(config_.shards),
-                     [this](std::size_t shard) { drain_shard(shard); });
-}
-
-std::shared_ptr<Service::Job> Service::pop_locked(std::size_t preferred_shard) {
-  const std::size_t shards = queues_.size();
-  for (std::size_t i = 0; i < shards; ++i) {
-    std::deque<std::shared_ptr<Job>>& queue =
-        queues_[(preferred_shard + i) % shards];
-    if (queue.empty()) continue;
-    std::shared_ptr<Job> job = queue.front();
-    queue.pop_front();
-    --queued_;
-    return job;
-  }
-  return nullptr;
-}
-
-void Service::worker_loop(std::size_t worker) {
-  const std::size_t preferred = worker % queues_.size();
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock lock{mutex_};
-      work_cv_.wait(lock, [this] { return stopping_ || queued_ > 0; });
-      if (queued_ == 0) return;  // stopping_ and fully drained
-      job = pop_locked(preferred);
-    }
-    if (job != nullptr) execute(job);
-  }
+  pool_.parallel_for(static_cast<std::size_t>(pool_.threads()),
+                     [this](std::size_t) { serve(false); });
 }
 
 void Service::start() {
@@ -505,7 +470,7 @@ void Service::start() {
   }
   const auto width = static_cast<std::size_t>(pool_.threads());
   executor_ = std::thread{[this, width] {
-    pool_.parallel_for(width, [this](std::size_t i) { worker_loop(i); });
+    pool_.parallel_for(width, [this](std::size_t) { serve(true); });
   }};
 }
 
@@ -529,7 +494,7 @@ bool Service::running() const {
 
 std::size_t Service::queue_depth() const {
   std::lock_guard lock{mutex_};
-  return queued_;
+  return queue_.size();
 }
 
 }  // namespace hbsp::svc

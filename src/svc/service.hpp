@@ -23,10 +23,10 @@
 //                 hash collision degrades to a separate compute, never to a
 //                 wrong response.
 //
-//   admission     the queue is bounded (ServiceConfig::queue_capacity, total
-//                 across shards). A request that finds the queue full is
-//                 rejected immediately with Outcome::kRejectedQueueFull —
-//                 explicit backpressure, never a silent drop.
+//   admission     the queue is bounded (ServiceConfig::queue_capacity). A
+//                 request that finds the queue full is rejected immediately
+//                 with Outcome::kRejectedQueueFull — explicit backpressure,
+//                 never a silent drop.
 //
 //   deadlines     a request may carry a Deadline. Already-expired deadlines
 //                 are rejected at submit with kRejectedDeadlineExceeded
@@ -35,14 +35,14 @@
 //                 still live (the work is wanted, so late members share the
 //                 result rather than wasting it).
 //
-// Execution runs on a util::ThreadPool, sharded by key across
-// ServiceConfig::shards FIFO queues. Two drive modes:
+// Execution runs on a util::ThreadPool whose workers pop jobs from one FIFO
+// admission queue. Two drive modes:
 //
 //   pump()        drains every queued job on the calling thread plus the
-//                 pool (one parallel_for, shard i drained in FIFO order by
-//                 index i). With submissions batched between pumps, every
-//                 outcome and counter is deterministic at any thread or
-//                 shard count — the mode the load harness, the perf
+//                 pool (one parallel_for over the pool width, each index
+//                 popping until the queue is empty). With submissions batched
+//                 between pumps, every outcome and counter is deterministic
+//                 at any thread count — the mode the load harness, the perf
 //                 snapshot and the differential tests use.
 //
 //   start()/stop() spawns a background pump: pool workers park on the
@@ -55,7 +55,7 @@
 // Plans come through coll::PlanCache and makespans through
 // exp::ScenarioCache, so for a given request the schedule, predicted cost
 // and simulated makespan are bit-identical regardless of thread count, queue
-// order, shard count, or cache warmth — the differential suite in
+// order, or cache warmth — the differential suite in
 // tests/test_svc.cpp pins Service responses against direct advisor /
 // planner / simulator calls.
 //
@@ -141,8 +141,8 @@ enum class Outcome : std::uint8_t {
 [[nodiscard]] const char* to_string(Outcome outcome) noexcept;
 
 /// The deterministic half of a response: a pure function of request content,
-/// bit-identical at any thread count, shard count, queue order or cache
-/// warmth. Only meaningful when the outcome is kCompleted.
+/// bit-identical at any thread count, queue order or cache warmth. Only
+/// meaningful when the outcome is kCompleted.
 struct ResponseBody {
   /// The configuration that was planned: the caller's spec for kPlan /
   /// kSimulate, the advisor's choice for kAdvise.
@@ -159,12 +159,10 @@ struct ResponseBody {
   [[nodiscard]] std::uint64_t content_fingerprint() const noexcept;
 };
 
-/// Execution metadata: legitimately run-dependent (which shard computed,
-/// how many twins were served, when it finished). Never part of the
-/// determinism contract.
+/// Execution metadata: legitimately run-dependent (how many twins were
+/// served, when it finished). Never part of the determinism contract.
 struct Provenance {
   std::uint64_t key = 0;       ///< coalescing key (request content hash)
-  int shard = -1;              ///< admission shard, key % shards
   std::uint64_t served = 1;    ///< requests answered by this one compute
   double completed_at = 0.0;   ///< now_seconds() when the response was ready
 };
@@ -185,8 +183,7 @@ struct Ticket {
 
 struct ServiceConfig {
   int threads = 1;  ///< executor pool width; < 1 uses the hardware count
-  int shards = 1;   ///< admission-queue shards (>= 1), jobs land on key % shards
-  /// Total queued-job bound across all shards; 0 = unbounded (never sheds).
+  /// Queued-job bound; 0 = unbounded (never sheds).
   std::size_t queue_capacity = 64;
   /// Request-lifecycle tracing (active only while the global TraceRecorder
   /// is enabled): spans are recorded for 1-in-`trace_sample_every` submits,
@@ -216,11 +213,11 @@ class Service {
   Ticket submit(PlanRequest request, Deadline deadline = Deadline::never());
   Ticket submit(SimulateRequest request, Deadline deadline = Deadline::never());
 
-  /// Drains every currently queued job on the calling thread plus the pool
-  /// (shard i is drained in FIFO order by parallel_for index i). The
-  /// deterministic drive mode: submissions batched between pump() calls
-  /// yield outcome tallies that are pure functions of the submit sequence.
-  /// Must not be called while the background executor is running.
+  /// Drains every currently queued job on the calling thread plus the pool,
+  /// popping in FIFO order. The deterministic drive mode: submissions
+  /// batched between pump() calls yield outcome tallies that are pure
+  /// functions of the submit sequence. Must not be called while the
+  /// background executor is running.
   void pump();
 
   /// Spawns the background executor: pool workers park on the admission
@@ -261,7 +258,6 @@ class Service {
   struct Job {
     Canonical request;
     std::uint64_t key = 0;
-    int shard = 0;
     std::uint64_t ordinal = 0;  ///< submit ordinal of the leading member
     bool traced = false;        ///< sampled for lifecycle spans at admit time
     /// max over all members' deadlines: compute while anyone still wants it.
@@ -275,22 +271,19 @@ class Service {
   Ticket admit(Canonical request, Deadline deadline);
   void execute(const std::shared_ptr<Job>& job);
   [[nodiscard]] Response compute(const Canonical& request);
-  void drain_shard(std::size_t shard);
-  void worker_loop(std::size_t worker);
-
-  /// Pops the oldest job of the preferred shard, else steals the oldest
-  /// queued job from any shard. Must hold mutex_. Null when empty.
-  std::shared_ptr<Job> pop_locked(std::size_t preferred_shard);
+  /// Pops and executes the oldest queued job until the queue is empty; with
+  /// `park`, waits on work_cv_ for more instead, returning only once stop()
+  /// was called and the queue is drained.
+  void serve(bool park);
 
   ServiceConfig config_;
   util::ThreadPool pool_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::vector<std::deque<std::shared_ptr<Job>>> queues_;  ///< one per shard
+  std::deque<std::shared_ptr<Job>> queue_;  ///< admitted, not yet dispatched
   /// In-flight jobs (queued or executing) by key; vectors chain the
   /// hash-collision case.
   std::map<std::uint64_t, std::vector<std::shared_ptr<Job>>> inflight_;
-  std::size_t queued_ = 0;   ///< jobs admitted, not yet dispatched
   std::size_t depth_high_water_ = 0;
   std::uint64_t next_ordinal_ = 0;  ///< submit ordinal; keys trace sampling
   bool stopping_ = false;

@@ -1,6 +1,6 @@
 // Correctness tests for the SPMD collective executors: data results are
 // verified against directly computed expectations on flat and hierarchical
-// machines, on both engines.
+// machines.
 
 #include "collectives/executors.hpp"
 
@@ -43,7 +43,6 @@ struct ExecCase {
   bool hierarchical;
   std::size_t n;
   Shares shares;
-  rt::EngineKind engine;
 };
 
 class ExecutorCase : public ::testing::TestWithParam<ExecCase> {
@@ -74,7 +73,7 @@ TEST_P(ExecutorCase, GatherAssemblesAtRoot) {
       EXPECT_FALSE(result.has_value());
     }
   };
-  (void)rt::run_program(t, kParams, program, param.engine);
+  (void)rt::run_program(t, kParams, program);
   EXPECT_EQ(roots_with_data.load(), 1);
 }
 
@@ -94,7 +93,7 @@ TEST_P(ExecutorCase, GatherToSlowestRoot) {
       EXPECT_EQ(*result, iota_vector(param.n));
     }
   };
-  (void)rt::run_program(t, kParams, program, param.engine);
+  (void)rt::run_program(t, kParams, program);
 }
 
 TEST_P(ExecutorCase, ScatterDistributesShares) {
@@ -113,7 +112,7 @@ TEST_P(ExecutorCase, ScatterDistributesShares) {
         ctx, mine, param.n, {.root_pid = root, .shares = param.shares});
     EXPECT_EQ(result, expected[static_cast<std::size_t>(ctx.pid())]);
   };
-  (void)rt::run_program(t, kParams, program, param.engine);
+  (void)rt::run_program(t, kParams, program);
 }
 
 TEST_P(ExecutorCase, BroadcastTwoPhaseReachesEveryone) {
@@ -134,7 +133,7 @@ TEST_P(ExecutorCase, BroadcastTwoPhaseReachesEveryone) {
     EXPECT_EQ(result, input);
     ++receivers;
   };
-  (void)rt::run_program(t, kParams, program, param.engine);
+  (void)rt::run_program(t, kParams, program);
   EXPECT_EQ(receivers.load(), t.num_processors());
 }
 
@@ -154,26 +153,19 @@ TEST_P(ExecutorCase, BroadcastOnePhaseReachesEveryone) {
          .shares = param.shares});
     EXPECT_EQ(result, input);
   };
-  (void)rt::run_program(t, kParams, program, param.engine);
+  (void)rt::run_program(t, kParams, program);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ExecutorCase,
     ::testing::Values(
-        ExecCase{"flat_equal", false, 1000, Shares::kEqual,
-                 rt::EngineKind::kVirtualTime},
-        ExecCase{"flat_balanced", false, 1000, Shares::kBalanced,
-                 rt::EngineKind::kVirtualTime},
-        ExecCase{"flat_tiny", false, 3, Shares::kEqual,
-                 rt::EngineKind::kVirtualTime},
-        ExecCase{"flat_wall", false, 500, Shares::kBalanced,
-                 rt::EngineKind::kWallClock},
-        ExecCase{"tree_equal", true, 1000, Shares::kEqual,
-                 rt::EngineKind::kVirtualTime},
-        ExecCase{"tree_balanced", true, 999, Shares::kBalanced,
-                 rt::EngineKind::kVirtualTime},
-        ExecCase{"tree_wall", true, 777, Shares::kEqual,
-                 rt::EngineKind::kWallClock}),
+        ExecCase{"flat_equal", false, 1000, Shares::kEqual},
+        ExecCase{"flat_balanced", false, 1000, Shares::kBalanced},
+        ExecCase{"flat_tiny", false, 3, Shares::kEqual},
+        ExecCase{"flat_balanced_500", false, 500, Shares::kBalanced},
+        ExecCase{"tree_equal", true, 1000, Shares::kEqual},
+        ExecCase{"tree_balanced", true, 999, Shares::kBalanced},
+        ExecCase{"tree_equal_777", true, 777, Shares::kEqual}),
     [](const auto& param_info) { return param_info.param.name; });
 
 // --- flat-only collectives -------------------------------------------------------

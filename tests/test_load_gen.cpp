@@ -1,7 +1,7 @@
 // Tests for the seeded load-test harness (src/svc/load_harness). The
 // deterministic half of a LoadReport — outcome tally and content checksum —
 // must be a pure function of (seed, qps, duration, mode, expired_fraction),
-// invariant under executor threads and shard count. The measured half
+// invariant under executor threads. The measured half
 // (wall time, throughput, latency percentiles) is only sanity-checked.
 
 #include "svc/load_harness.hpp"
@@ -41,17 +41,15 @@ LoadConfig base_config(LoadMode mode) {
   return config;
 }
 
-TEST(LoadGen, TallyInvariantAcrossThreadsAndShards) {
+TEST(LoadGen, TallyInvariantAcrossThreads) {
   for (const LoadMode mode : {LoadMode::kOpenLoop, LoadMode::kClosedLoop}) {
     LoadConfig reference_config = base_config(mode);
     reference_config.threads = 1;
-    reference_config.shards = 1;
     const Tally reference = tally_of(run_load(reference_config));
     EXPECT_GT(reference.submitted, 0u) << to_string(mode);
 
     LoadConfig wide = base_config(mode);
     wide.threads = 4;
-    wide.shards = 8;
     EXPECT_EQ(tally_of(run_load(wide)), reference) << to_string(mode);
   }
 }

@@ -119,10 +119,7 @@ TEST(ReduceTreeExecutor, SumsCorrectlyOnHierarchy) {
       EXPECT_FALSE(result.has_value());
     }
   };
-  for (const auto engine :
-       {rt::EngineKind::kVirtualTime, rt::EngineKind::kWallClock}) {
-    (void)rt::run_program(tree, kParams, program, engine);
-  }
+  (void)rt::run_program(tree, kParams, program);
 }
 
 TEST(ReduceTreeExecutor, TimingMatchesPlanner) {

@@ -1,6 +1,6 @@
 // Tests for the HBSPlib-like runtime: superstep message semantics,
-// hierarchical barriers, heterogeneity enquiry, timing, error propagation —
-// on both the virtual-time and the wall-clock engine.
+// hierarchical barriers, heterogeneity enquiry, virtual timing, error
+// propagation.
 
 #include "runtime/hbsplib.hpp"
 
@@ -21,9 +21,7 @@ MachineTree cluster() {
   return make_hbsp1_cluster(std::array{1.0, 2.0, 4.0});
 }
 
-class BothEngines : public ::testing::TestWithParam<EngineKind> {};
-
-TEST_P(BothEngines, MessagesArriveInTheNextSuperstep) {
+TEST(Runtime, MessagesArriveInTheNextSuperstep) {
   std::atomic<int> deliveries{0};
   const Program program = [&](Hbsp& ctx) {
     if (ctx.pid() == 1) {
@@ -47,11 +45,11 @@ TEST_P(BothEngines, MessagesArriveInTheNextSuperstep) {
     }
     ctx.sync();
   };
-  (void)run_program(cluster(), kParams, program, GetParam());
+  (void)run_program(cluster(), kParams, program);
   EXPECT_EQ(deliveries.load(), 1);
 }
 
-TEST_P(BothEngines, MessagesOrderedBySourcePid) {
+TEST(Runtime, MessagesOrderedBySourcePid) {
   const Program program = [](Hbsp& ctx) {
     if (ctx.pid() != 0) {
       const auto value = static_cast<std::int32_t>(ctx.pid());
@@ -65,10 +63,10 @@ TEST_P(BothEngines, MessagesOrderedBySourcePid) {
       EXPECT_EQ(messages[1].src_pid, 2);
     }
   };
-  (void)run_program(cluster(), kParams, program, GetParam());
+  (void)run_program(cluster(), kParams, program);
 }
 
-TEST_P(BothEngines, PerSenderIssueOrderPreserved) {
+TEST(Runtime, PerSenderIssueOrderPreserved) {
   const Program program = [](Hbsp& ctx) {
     if (ctx.pid() == 1) {
       for (std::int32_t i = 0; i < 5; ++i) {
@@ -84,10 +82,10 @@ TEST_P(BothEngines, PerSenderIssueOrderPreserved) {
       }
     }
   };
-  (void)run_program(cluster(), kParams, program, GetParam());
+  (void)run_program(cluster(), kParams, program);
 }
 
-TEST_P(BothEngines, SelfSendDelivered) {
+TEST(Runtime, SelfSendDelivered) {
   const Program program = [](Hbsp& ctx) {
     if (ctx.pid() == 2) {
       const std::int32_t value = 5;
@@ -98,10 +96,10 @@ TEST_P(BothEngines, SelfSendDelivered) {
       EXPECT_EQ(ctx.recv_all().size(), 1u);
     }
   };
-  (void)run_program(cluster(), kParams, program, GetParam());
+  (void)run_program(cluster(), kParams, program);
 }
 
-TEST_P(BothEngines, HierarchicalScopesRunConcurrently) {
+TEST(Runtime, HierarchicalScopesRunConcurrently) {
   const MachineTree tree = make_figure1_cluster();
   const Program program = [](Hbsp& ctx) {
     const MachineTree& machine = ctx.machine();
@@ -115,13 +113,12 @@ TEST_P(BothEngines, HierarchicalScopesRunConcurrently) {
     }
     ctx.sync();  // whole machine
   };
-  const RunResult result =
-      run_program(tree, kParams, program, GetParam());
+  const RunResult result = run_program(tree, kParams, program);
   // 2 SMP supersteps + 2 LAN supersteps + 1 global.
   EXPECT_EQ(result.supersteps, 5u);
 }
 
-TEST_P(BothEngines, EnquiryPrimitives) {
+TEST(Runtime, EnquiryPrimitives) {
   const Program program = [](Hbsp& ctx) {
     EXPECT_EQ(ctx.nprocs(), 3);
     EXPECT_EQ(ctx.fastest_pid(), 0);
@@ -145,32 +142,32 @@ TEST_P(BothEngines, EnquiryPrimitives) {
     EXPECT_EQ(ctx.my_balanced_share(700),
               shares[static_cast<std::size_t>(ctx.pid())]);
   };
-  (void)run_program(cluster(), kParams, program, GetParam());
+  (void)run_program(cluster(), kParams, program);
 }
 
-TEST_P(BothEngines, UserExceptionsPropagate) {
+TEST(Runtime, UserExceptionsPropagate) {
   const Program program = [](Hbsp& ctx) {
     if (ctx.pid() == 1) throw std::runtime_error{"boom on pid 1"};
     ctx.sync();  // peers must be released, not deadlock
   };
   try {
-    (void)run_program(cluster(), kParams, program, GetParam());
+    (void)run_program(cluster(), kParams, program);
     FAIL() << "expected the user exception to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom on pid 1");
   }
 }
 
-TEST_P(BothEngines, InvalidDestinationFailsTheRun) {
+TEST(Runtime, InvalidDestinationFailsTheRun) {
   const Program program = [](Hbsp& ctx) {
     if (ctx.pid() == 0) ctx.send(99, {}, 1);
     ctx.sync();
   };
-  EXPECT_THROW((void)run_program(cluster(), kParams, program, GetParam()),
+  EXPECT_THROW((void)run_program(cluster(), kParams, program),
                std::invalid_argument);
 }
 
-TEST_P(BothEngines, SendOutsideScopeFails) {
+TEST(Runtime, SendOutsideScopeFails) {
   const MachineTree tree = make_figure1_cluster();
   const Program program = [](Hbsp& ctx) {
     const MachineTree& machine = ctx.machine();
@@ -184,19 +181,8 @@ TEST_P(BothEngines, SendOutsideScopeFails) {
     }
     ctx.sync();
   };
-  EXPECT_THROW((void)run_program(tree, kParams, program, GetParam()),
-               std::logic_error);
+  EXPECT_THROW((void)run_program(tree, kParams, program), std::logic_error);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, BothEngines,
-                         ::testing::Values(EngineKind::kVirtualTime,
-                                           EngineKind::kWallClock),
-                         [](const auto& param_info) {
-                           return std::string{to_string(param_info.param)} ==
-                                          "virtual-time"
-                                      ? "VirtualTime"
-                                      : "WallClock";
-                         });
 
 // --- virtual-time specifics ----------------------------------------------------
 
@@ -242,18 +228,6 @@ TEST(VirtualTime, ComputeChargesScaleWithSpeed) {
   EXPECT_NEAR(finish[2] / finish[0], 4.0, 1e-9);
 }
 
-TEST(WallClock, TimeIsPositiveAndMonotonic) {
-  const Program program = [](Hbsp& ctx) {
-    const double before = ctx.time();
-    ctx.sync();
-    EXPECT_GE(ctx.time(), before);
-  };
-  const RunResult result =
-      run_program(cluster(), kParams, program, EngineKind::kWallClock);
-  EXPECT_GT(result.makespan, 0.0);
-}
-
-
 TEST(RunOptions, BarrierTimeoutDetectsMismatchedSyncs) {
   // pid 0 never syncs; everyone else waits at the barrier. With a short
   // timeout the run fails fast instead of deadlocking.
@@ -270,9 +244,9 @@ TEST(RunOptions, BarrierTimeoutDetectsMismatchedSyncs) {
   }
 }
 
-TEST(RunOptions, DefaultsMatchEngineOverload) {
+TEST(RunOptions, DefaultsMatchThreeArgumentOverload) {
   const Program program = [](Hbsp& ctx) { ctx.sync(); };
-  RunOptions options;  // virtual time, 60 s timeout
+  RunOptions options;  // 60 s timeout, no fault injector
   const RunResult a = run_program(cluster(), kParams, program, options);
   const RunResult b = run_program(cluster(), kParams, program);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);

@@ -150,7 +150,7 @@ TEST(RuntimeStress, BackToBackRunsAreIndependent) {
   }
 }
 
-TEST(RuntimeStress, WallClockEngineHandlesTheSamePrograms) {
+TEST(RuntimeStress, RingPassesAPayloadEverySuperstep) {
   const MachineTree tree = make_paper_testbed(4);
   std::atomic<int> checks{0};
   const Program program = [&](Hbsp& ctx) {
@@ -166,7 +166,7 @@ TEST(RuntimeStress, WallClockEngineHandlesTheSamePrograms) {
       }
     }
   };
-  (void)run_program(tree, kParams, program, EngineKind::kWallClock);
+  (void)run_program(tree, kParams, program);
   EXPECT_EQ(checks.load(), 4 * 25);
 }
 

@@ -362,5 +362,13 @@ TEST(SimParams, ValidateRejectsBadFaultTransportValues) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+TEST(TraceEvents, FaultEventKindsHaveNames) {
+  EXPECT_STREQ(to_string(EventKind::kSlowdownStart), "slowdown-start");
+  EXPECT_STREQ(to_string(EventKind::kSlowdownEnd), "slowdown-end");
+  EXPECT_STREQ(to_string(EventKind::kMachineDrop), "machine-drop");
+  EXPECT_STREQ(to_string(EventKind::kMessageLost), "message-lost");
+  EXPECT_STREQ(to_string(EventKind::kRetry), "retry");
+}
+
 }  // namespace
 }  // namespace hbsp::sim

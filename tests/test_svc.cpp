@@ -4,7 +4,7 @@
 // The core claim under test is the serving layer's determinism contract: a
 // Response body is a pure function of request content — byte-identical to
 // what direct advisor / planner / simulator calls produce, at any executor
-// thread count, shard count, or cache warmth. On top of that, the admission
+// thread count or cache warmth. On top of that, the admission
 // mechanics: N identical concurrent requests coalesce into exactly one
 // compute (one plancache.misses increment), a full queue sheds explicitly
 // and deterministically, and expired deadlines are rejected without ever
@@ -91,7 +91,7 @@ TEST(SvcDifferential, AdviseMatchesDirectCallsEverywhere) {
   for (const int threads : {1, 4}) {
     coll::PlanCache::global().clear();
     exp::ScenarioCache::global().clear();
-    Service service{ServiceConfig{threads, 2, 0}};
+    Service service{ServiceConfig{threads, 0}};
     for (const auto& [name, tree] : machine_basket()) {
       for (const coll::CollectiveKind kind : advisable(*tree)) {
         const std::string label =
@@ -137,7 +137,7 @@ TEST(SvcDifferential, AdviseMatchesDirectCallsEverywhere) {
 TEST(SvcDifferential, PlanAndSimulateMatchDirectCalls) {
   const auto basket = machine_basket();
   for (const auto& [name, tree] : basket) {
-    Service service{ServiceConfig{2, 2, 0}};
+    Service service{ServiceConfig{2, 0}};
     coll::PlanRequest spec;
     spec.kind = coll::CollectiveKind::kGather;
     spec.n = 2048;
@@ -201,7 +201,7 @@ TEST(SvcCoalescing, IdenticalConcurrentRequestsComputeOnce) {
   spec.n = 7777;  // unique to this test: nothing else builds this key
   spec.root_pid = 0;
 
-  Service service{ServiceConfig{4, 2, 0}};
+  Service service{ServiceConfig{4, 0}};
   const std::uint64_t misses_before = counter("plancache.misses");
   const std::uint64_t coalesced_before = counter("svc.coalesced");
 
@@ -232,11 +232,11 @@ TEST(SvcCoalescing, IdenticalConcurrentRequestsComputeOnce) {
 }
 
 TEST(SvcAdmission, FullQueueShedsDeterministically) {
-  // Single-threaded, single-shard, capacity 3: of six *distinct* requests
+  // Single-threaded, capacity 3: of six *distinct* requests
   // the first three are admitted, the last three rejected immediately with
   // an explicit queue-full outcome — same result on every run.
   const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(6));
-  Service service{ServiceConfig{1, 1, 3}};
+  Service service{ServiceConfig{1, 3}};
   const std::uint64_t shed_before = counter("svc.shed.queue_full");
 
   std::vector<Ticket> tickets;
@@ -277,7 +277,7 @@ TEST(SvcDeadlines, ExpiredRequestsNeverExecute) {
   coll::PlanCache::global().clear();
   exp::ScenarioCache::global().clear();
   const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(5));
-  Service service{ServiceConfig{1, 1, 8}};
+  Service service{ServiceConfig{1, 8}};
   coll::PlanRequest spec;
   spec.kind = coll::CollectiveKind::kScatter;
   spec.n = 5555;
@@ -308,7 +308,7 @@ TEST(SvcDeadlines, ExpiredRequestsNeverExecute) {
 
 TEST(SvcDeadlines, DeadlinePassingInQueueShedsAtDispatch) {
   const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(5));
-  Service service{ServiceConfig{1, 1, 8}};
+  Service service{ServiceConfig{1, 8}};
   coll::PlanRequest spec;
   spec.kind = coll::CollectiveKind::kReduce;
   spec.n = 5556;
@@ -329,7 +329,7 @@ TEST(SvcDeadlines, DeadlinePassingInQueueShedsAtDispatch) {
 }
 
 TEST(SvcErrors, NullTreeThrowsAndPlannerErrorsSurfaceThroughFuture) {
-  Service service{ServiceConfig{1, 1, 0}};
+  Service service{ServiceConfig{1, 0}};
   EXPECT_THROW((void)service.submit(
                    PlanRequest{nullptr, coll::PlanRequest{}}),
                std::invalid_argument);
@@ -355,10 +355,10 @@ TEST(SvcErrors, NullTreeThrowsAndPlannerErrorsSurfaceThroughFuture) {
   EXPECT_EQ(after.response.get().outcome, Outcome::kCompleted);
 }
 
-TEST(SvcSharding, OutcomesAndContentInvariantAcrossShardsAndThreads) {
-  // One fixed submit sequence against services of every (threads, shards)
-  // shape: per-ticket outcome, coalesced flag, and content fingerprint must
-  // be identical everywhere.
+TEST(SvcThreads, OutcomesAndContentInvariantAcrossThreads) {
+  // One fixed submit sequence against services of every thread count:
+  // per-ticket outcome, coalesced flag, and content fingerprint must be
+  // identical everywhere.
   const auto basket = machine_basket();
   struct Observed {
     Outcome outcome;
@@ -367,9 +367,8 @@ TEST(SvcSharding, OutcomesAndContentInvariantAcrossShardsAndThreads) {
   };
   std::vector<Observed> reference;
 
-  for (const auto& [threads, shards] :
-       std::vector<std::pair<int, int>>{{1, 1}, {1, 3}, {4, 1}, {4, 8}}) {
-    Service service{ServiceConfig{threads, shards, 5}};
+  for (const int threads : {1, 4}) {
+    Service service{ServiceConfig{threads, 5}};
     std::vector<Ticket> tickets;
     for (std::size_t i = 0; i < 12; ++i) {
       const auto& tree = basket[i % basket.size()].second;
@@ -398,11 +397,11 @@ TEST(SvcSharding, OutcomesAndContentInvariantAcrossShardsAndThreads) {
     }
     for (std::size_t i = 0; i < observed.size(); ++i) {
       EXPECT_EQ(observed[i].outcome, reference[i].outcome)
-          << threads << "x" << shards << " request " << i;
+          << threads << " threads, request " << i;
       EXPECT_EQ(observed[i].coalesced, reference[i].coalesced)
-          << threads << "x" << shards << " request " << i;
+          << threads << " threads, request " << i;
       EXPECT_EQ(observed[i].fingerprint, reference[i].fingerprint)
-          << threads << "x" << shards << " request " << i;
+          << threads << " threads, request " << i;
     }
   }
 }
@@ -412,7 +411,7 @@ TEST(SvcBackground, StartStopServesSubmissionsFromWorkerThreads) {
   // requests arrive. Content equals the pump-mode content; pump() itself is
   // refused while running.
   const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(8));
-  Service service{ServiceConfig{4, 2, 0}};
+  Service service{ServiceConfig{4, 0}};
   service.start();
   EXPECT_TRUE(service.running());
   EXPECT_THROW(service.pump(), std::logic_error);
@@ -433,7 +432,7 @@ TEST(SvcBackground, StartStopServesSubmissionsFromWorkerThreads) {
   EXPECT_FALSE(service.running());
 
   // Identical request served by a fresh pump-mode service: same content.
-  Service reference{ServiceConfig{1, 1, 0}};
+  Service reference{ServiceConfig{1, 0}};
   coll::PlanRequest spec;
   spec.kind = coll::CollectiveKind::kGather;
   spec.n = 4000;
@@ -450,7 +449,7 @@ TEST(SvcObservability, CountersAndQueueDepthGaugeAreRecorded) {
   const std::uint64_t requests_before = counter("svc.requests");
   const std::uint64_t completed_before = counter("svc.completed");
 
-  Service service{ServiceConfig{1, 1, 0}};
+  Service service{ServiceConfig{1, 0}};
   coll::PlanRequest spec;
   spec.kind = coll::CollectiveKind::kGather;
   spec.n = 6000;
@@ -488,7 +487,7 @@ TEST(SvcDifferential, ContentFingerprintEqualsRecomputationFromSchedule) {
     return hash.digest();
   };
   for (const auto& [name, tree] : machine_basket()) {
-    Service service{ServiceConfig{1, 1, 0}};
+    Service service{ServiceConfig{1, 0}};
     for (const coll::CollectiveKind kind : advisable(*tree)) {
       const Response advised =
           served(service, AdviseRequest{tree, kind, 3000, {}});

@@ -2,7 +2,7 @@
 //
 // The claims under test, in order of importance:
 //   1. the exported *virtual-time* trace of a sweep is byte-identical at any
-//      worker thread count, and of the serving layer at any shard count —
+//      worker thread count, and of the serving layer at any thread count —
 //      the property the CI trace gate pins against committed goldens;
 //   2. span counts reconcile exactly against the sim.* / svc.* counters
 //      (count(kSuperstep) == sim.plans, Σ"attempts" == sim.send_attempts,
@@ -296,7 +296,7 @@ TEST(TraceDeterminism, SvcRequestSpansReconcileWithCounters) {
   const auto tree =
       std::make_shared<const MachineTree>(make_paper_testbed(6));
   {
-    svc::Service service{svc::ServiceConfig{2, 2, 4}};
+    svc::Service service{svc::ServiceConfig{2, 4}};
     std::vector<svc::Ticket> tickets;
     // Distinct computes, a coalesced twin, an expired deadline, and enough
     // backlog to shed on capacity: every svc.requests increment must yield
@@ -320,7 +320,7 @@ TEST(TraceDeterminism, SvcRequestSpansReconcileWithCounters) {
   EXPECT_EQ(counters.counter("svc.requests"), 7u);
 }
 
-TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
+TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossThreadCounts) {
   // Distinct scenarios: a shared one would simulate under whichever request
   // ran first and hit cache in the other — order-dependent.
   std::vector<std::size_t> sizes;
@@ -330,7 +330,7 @@ TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
                                   sizes)
                 .size(),
             sizes.size());
-  const auto run = [&sizes](int threads, int shards) {
+  const auto run = [&sizes](int threads) {
     clear_caches();
     auto& recorder = obs::TraceRecorder::global();
     recorder.clear();
@@ -338,7 +338,7 @@ TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
     const auto tree =
         std::make_shared<const MachineTree>(make_paper_testbed(8));
     {
-      svc::Service service{svc::ServiceConfig{threads, shards, 64}};
+      svc::Service service{svc::ServiceConfig{threads, 64}};
       std::vector<svc::Ticket> tickets;
       for (const std::size_t n : sizes) {
         tickets.push_back(service.submit(simulate_request(tree, n)));
@@ -350,10 +350,10 @@ TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
     return obs::chrome_trace_json(recorder.snapshot(),
                                   obs::TraceFilter::kVirtualOnly);
   };
-  const std::string one = run(1, 1);
-  const std::string eight = run(4, 8);
+  const std::string one = run(1);
+  const std::string four = run(4);
   EXPECT_FALSE(one.empty());
-  EXPECT_EQ(one, eight);
+  EXPECT_EQ(one, four);
 }
 
 TEST(TraceSampling, UnsampledRequestsAreFullyMuted) {
@@ -378,7 +378,7 @@ TEST(TraceSampling, UnsampledRequestsAreFullyMuted) {
     const auto tree =
         std::make_shared<const MachineTree>(make_paper_testbed(6));
     {
-      svc::ServiceConfig config{2, 2, 64};
+      svc::ServiceConfig config{2, 64};
       config.trace_sample_every = every;
       config.trace_seed = seed;
       svc::Service service{config};
@@ -424,7 +424,7 @@ TEST(TraceSampling, CachedScenarioRecordsStagesButNoSimulatorSpans) {
   recorder.set_enabled(true);
   const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(6));
   {
-    svc::Service service{svc::ServiceConfig{1, 1, 64}};
+    svc::Service service{svc::ServiceConfig{1, 64}};
     for (int round = 0; round < 2; ++round) {
       svc::Ticket ticket = service.submit(simulate_request(tree, 7000));
       service.pump();
