@@ -151,15 +151,16 @@ svc_leg() {
 # in fresh processes and requires byte-identical counters (each run is
 # cache-cold at rep 0, so totals must agree run-to-run, not just
 # thread-to-thread), then gates the warm-cache speedup. The build is
-# -Werror, so warnings that only Release inlining exposes fail here. Timing
-# snapshots land in build-ci-relperf/ for CI to upload as artifacts.
+# -Werror and covers every target (tests included), so warnings that only
+# Release inlining exposes fail here. Timing snapshots land in
+# build-ci-relperf/ for CI to upload as artifacts.
 relperf_leg() {
   local dir=build-ci-relperf
   echo "== configure ${dir} (Release, WERROR)"
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release -DHBSPK_WERROR=ON \
     >/dev/null
-  echo "== build perf_snapshot"
-  cmake --build "${dir}" -j "${JOBS}" --target perf_snapshot >/dev/null
+  echo "== build (all targets)"
+  cmake --build "${dir}" -j "${JOBS}" >/dev/null
 
   echo "== perf_snapshot run A"
   "${dir}/bench/perf_snapshot" --threads 4 --out "${dir}/BENCH_relperf_a.json"

@@ -3,10 +3,12 @@
 // (paper §6: "designing HBSP^k applications that can take advantage of our
 // efficient heterogeneous communication algorithms").
 //
-// Pipeline: scatter (shares ∝ 1/r) → local sort → splitter allgather →
-// value routing with *speed-weighted bucket widths* → local sort → gather.
-// With Shares::kEqual the same code degenerates to textbook BSP sample sort,
-// which is the baseline the benchmarks compare against.
+// Pipeline: scatter (shares ∝ 1/r) → local sort → splitter gather and
+// broadcast → routing of sorted slices with *speed-weighted bucket widths* →
+// merge of the p sorted runs each bucket arrives as → gather. The merge is
+// charged as a sort of the bucket, the cost the paper's model assigns to
+// this step. With Shares::kEqual the same code degenerates to textbook BSP
+// sample sort, which is the baseline the benchmarks compare against.
 
 #include <cstdint>
 #include <span>
@@ -33,6 +35,12 @@ struct SortRun {
   double virtual_seconds = 0.0;      ///< completion time at the root
   bool valid = false;                ///< sorted, complete permutation
 };
+
+/// True when `sorted` is ascending and holds exactly the multiset of
+/// `input`. Checked against an LSD radix sort of `input`, a kernel the sort
+/// itself never uses, so the check stays independent of the code it checks.
+[[nodiscard]] bool is_sorted_permutation(std::span<const std::int32_t> input,
+                                         std::span<const std::int32_t> sorted);
 
 /// Convenience driver: runs the SPMD program on `machine` over the
 /// virtual-time engine and validates the result.

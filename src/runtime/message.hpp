@@ -25,18 +25,26 @@ struct Message {
   std::size_t items = 0;  ///< model packets, for cost accounting
   std::vector<std::byte> payload;
 
-  /// Reinterprets the payload as trivially-copyable T values; throws
-  /// std::length_error if the payload size is not a multiple of sizeof(T).
+  /// Appends the payload, reinterpreted as trivially-copyable T values, to
+  /// `values` with one memcpy; throws std::length_error (leaving `values`
+  /// untouched) if the payload size is not a multiple of sizeof(T).
   template <typename T>
-  [[nodiscard]] std::vector<T> unpack_all() const {
+  void append_to(std::vector<T>& values) const {
     static_assert(std::is_trivially_copyable_v<T>);
     if (payload.size() % sizeof(T) != 0) {
-      throw std::length_error{"Message::unpack_all: size mismatch"};
+      throw std::length_error{"Message: payload size mismatch"};
     }
-    std::vector<T> values(payload.size() / sizeof(T));
-    if (!values.empty()) {
-      std::memcpy(values.data(), payload.data(), payload.size());
-    }
+    if (payload.empty()) return;
+    const std::size_t old_size = values.size();
+    values.resize(old_size + payload.size() / sizeof(T));
+    std::memcpy(values.data() + old_size, payload.data(), payload.size());
+  }
+
+  /// The payload as a fresh vector of T values; throws like append_to.
+  template <typename T>
+  [[nodiscard]] std::vector<T> unpack_all() const {
+    std::vector<T> values;
+    append_to(values);
     return values;
   }
 };

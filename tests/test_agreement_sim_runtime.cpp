@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "collectives/executors.hpp"
 #include "collectives/planners.hpp"
 #include "collectives/schedule_replay.hpp"
@@ -72,8 +74,10 @@ TEST_P(RandomScheduleAgreement, MakespansMatch) {
   schedule.name = "random";
   const auto steps = rng.uniform_u64(1, 4);
   for (std::uint64_t s = 0; s < steps; ++s) {
-    SuperstepPlan& plan = schedule.add_step(
-        "s" + std::to_string(s), tree.height(), tree.root());
+    std::string step_name = "s";
+    step_name += std::to_string(s);
+    SuperstepPlan& plan =
+        schedule.add_step(step_name, tree.height(), tree.root());
     const auto messages = rng.uniform_u64(0, 12);
     for (std::uint64_t m = 0; m < messages; ++m) {
       const int src = static_cast<int>(rng.uniform_u64(

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "apps/histogram.hpp"
@@ -27,6 +30,9 @@ TEST_P(SampleSortCase, SortsCorrectly) {
       run_sample_sort(machine, input, coll::Shares::kBalanced);
   EXPECT_TRUE(run.valid);
   EXPECT_GT(run.virtual_seconds, 0.0);
+  std::vector<std::int32_t> reference = input;
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(run.sorted, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -62,6 +68,92 @@ TEST(SampleSort, WorksOnHierarchicalMachines) {
   const MachineTree machine = make_figure1_cluster();
   const auto input = util::uniform_int_workload(3000, 17);
   EXPECT_TRUE(run_sample_sort(machine, input, coll::Shares::kBalanced).valid);
+}
+
+// --- sort validator ----------------------------------------------------------
+
+std::vector<std::int32_t> sorted_copy(std::vector<std::int32_t> values) {
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+TEST(IsSortedPermutation, RejectsOrderPreservingValueChange) {
+  const auto input = util::uniform_int_workload(1000, 3);
+  auto sorted = sorted_copy(input);
+  ASSERT_LT(sorted[500] + 1, sorted[501]);
+  ++sorted[500];  // still ascending, no longer the input's multiset
+  ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  EXPECT_FALSE(is_sorted_permutation(input, sorted));
+}
+
+TEST(IsSortedPermutation, RejectsDroppedValueReplacedByDuplicate) {
+  const auto input = util::uniform_int_workload(1000, 4);
+  auto sorted = sorted_copy(input);
+  ASSERT_NE(sorted[700], sorted[701]);
+  sorted[701] = sorted[700];  // same size, still sorted, one value lost
+  EXPECT_FALSE(is_sorted_permutation(input, sorted));
+}
+
+TEST(IsSortedPermutation, RejectsAdjacentSwapAndSizeMismatch) {
+  const auto input = util::uniform_int_workload(1000, 5);
+  auto sorted = sorted_copy(input);
+  EXPECT_TRUE(is_sorted_permutation(input, sorted));
+  ASSERT_NE(sorted[10], sorted[11]);
+  std::swap(sorted[10], sorted[11]);
+  EXPECT_FALSE(is_sorted_permutation(input, sorted));
+  std::swap(sorted[10], sorted[11]);
+  sorted.pop_back();
+  EXPECT_FALSE(is_sorted_permutation(input, sorted));
+  EXPECT_FALSE(is_sorted_permutation(sorted, input));
+}
+
+TEST(IsSortedPermutation, AcceptsExtremesNegativesAndDegenerateSizes) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::vector<std::vector<std::int32_t>> inputs{
+      {},
+      {kMin},
+      {kMax},
+      {kMax, -1, 0, kMin, 1, kMin, kMax, -2147483647, 2147483646},
+      {-5, -300, -70000, -1, -5},
+      std::vector<std::int32_t>(257, -9),
+  };
+  for (const auto& input : inputs) {
+    EXPECT_TRUE(is_sorted_permutation(input, sorted_copy(input)));
+  }
+  // Extremes swapped for their neighbours keep the order, not the multiset.
+  EXPECT_FALSE(is_sorted_permutation(std::vector<std::int32_t>{kMin, kMax},
+                                     std::vector<std::int32_t>{kMin, kMin}));
+  EXPECT_FALSE(is_sorted_permutation(std::vector<std::int32_t>{kMin},
+                                     std::vector<std::int32_t>{kMin + 1}));
+  EXPECT_FALSE(is_sorted_permutation(std::vector<std::int32_t>{kMax},
+                                     std::vector<std::int32_t>{-1}));
+}
+
+TEST(IsSortedPermutation, AgreesWithSortAndCompareOnRandomInputs) {
+  util::Rng rng{2024};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const auto n = static_cast<std::size_t>(rng.uniform_i64(0, 300));
+    // Narrow ranges make duplicates common; wide ones span the sign bit.
+    const std::int64_t span = seed % 2 == 0 ? 8 : std::int64_t{1} << 31;
+    std::vector<std::int32_t> input(n);
+    for (auto& value : input) {
+      value = static_cast<std::int32_t>(rng.uniform_i64(-span, span - 1));
+    }
+    auto candidate = sorted_copy(input);
+    if (!candidate.empty() && seed % 3 != 0) {
+      // Perturb one position; sometimes that still leaves the same multiset.
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_i64(0, static_cast<std::int64_t>(n) - 1));
+      candidate[i] =
+          static_cast<std::int32_t>(rng.uniform_i64(-span, span - 1));
+    }
+    const bool expected =
+        std::is_sorted(candidate.begin(), candidate.end()) &&
+        sorted_copy(candidate) == sorted_copy(input);
+    EXPECT_EQ(is_sorted_permutation(input, candidate), expected)
+        << "seed " << seed;
+  }
 }
 
 // --- histogram -------------------------------------------------------------------

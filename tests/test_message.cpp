@@ -100,5 +100,34 @@ TEST(Message, UnpackAllEmptyPayload) {
   EXPECT_TRUE(message.unpack_all<std::int32_t>().empty());
 }
 
+TEST(Message, AppendToExtendsExistingValues) {
+  const std::vector<std::int32_t> values{-1, 2, -3};
+  PackBuffer out;
+  out.pack_span<std::int32_t>(values);
+  Message message;
+  message.payload = out.take();
+  std::vector<std::int32_t> sink{7, 8};
+  message.append_to(sink);
+  EXPECT_EQ(sink, (std::vector<std::int32_t>{7, 8, -1, 2, -3}));
+  message.append_to(sink);
+  EXPECT_EQ(sink.size(), 8u);
+  EXPECT_EQ(sink.back(), -3);
+}
+
+TEST(Message, AppendToEmptyPayloadIsNoOp) {
+  Message message;
+  std::vector<std::int32_t> sink{4};
+  message.append_to(sink);
+  EXPECT_EQ(sink, std::vector<std::int32_t>{4});
+}
+
+TEST(Message, AppendToSizeMismatchThrowsAndLeavesTargetUntouched) {
+  Message message;
+  message.payload.resize(6);  // not a multiple of 4
+  std::vector<std::int32_t> sink{1, 2};
+  EXPECT_THROW(message.append_to(sink), std::length_error);
+  EXPECT_EQ(sink, (std::vector<std::int32_t>{1, 2}));
+}
+
 }  // namespace
 }  // namespace hbsp::rt

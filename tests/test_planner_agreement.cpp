@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "collectives/baselines.hpp"
 #include "collectives/planners.hpp"
 #include "core/analysis.hpp"
@@ -135,8 +137,11 @@ INSTANTIATE_TEST_SUITE_P(
                           Case{"big_balanced", 250000, Shares::kBalanced},
                           Case{"zero", 0, Shares::kEqual})),
     [](const auto& param_info) {
-      return "p" + std::to_string(std::get<0>(param_info.param)) + "_" +
-             std::get<1>(param_info.param).name;
+      std::string name = "p";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_";
+      name += std::get<1>(param_info.param).name;
+      return name;
     });
 
 // --- HBSP^2 agreement on the Figure 1 machine ---------------------------------

@@ -163,7 +163,9 @@ TEST(TraceRecorder, MergeIsThreadOrderIndependent) {
     const auto record = [&recorder](const std::string& track) {
       const double offset = track == "alpha" ? 0.0 : 100.0;
       for (int i = 0; i < 50; ++i) {
-        recorder.record_span(track, "s" + std::to_string(i),
+        std::string span_name = "s";
+        span_name += std::to_string(i);
+        recorder.record_span(track, span_name,
                              obs::SpanKind::kOther, obs::Timebase::kVirtual,
                              offset + i, offset + i + 1);
       }
