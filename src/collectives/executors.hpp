@@ -1,11 +1,16 @@
 #pragma once
 // SPMD executors of the collective operations on the HBSPlib-like runtime.
 //
-// Each executor is the runnable counterpart of a planner in planners.hpp: it
-// moves real data with exactly the transfers (endpoints, item counts,
-// superstep structure) the planner schedules, so the virtual-time makespan of
-// an executor run equals the cluster simulator's makespan for the planned
-// schedule. Tests rely on that agreement.
+// There is one executor, detail::execute: it runs the calling processor's
+// part of the schedule the collective's planner (planners.hpp) emits — each
+// plan's compute charges, its transfers in schedule order, its barrier — and
+// hands what arrives to a payload policy. Every collective therefore moves
+// data with exactly the transfers, item counts and supersteps its planner
+// schedules, and the virtual-time makespan of a run equals the cluster
+// simulator's makespan for the planned schedule by construction. The
+// policies: Route for the collectives that move slices of the global item
+// sequence, Combine for the folding ones, and Synthetic, with which
+// make_replay_program runs any schedule.
 //
 // All executors are collectives in the MPI sense: every processor of the
 // machine must call the same executor with consistent arguments, and the
@@ -15,72 +20,232 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/planners.hpp"
-#include "core/workload.hpp"
+#include "core/workload.hpp"  // equal_partition, alltoall's block split
+#include "obs/metrics.hpp"
 #include "runtime/hbsplib.hpp"
 
 namespace hbsp::coll {
 
 namespace detail {
 
-/// Packs (origin_pid, count, values...) segments into one message payload.
-template <typename T>
-rt::PackBuffer pack_segments(const std::map<int, std::vector<T>>& segments) {
-  rt::PackBuffer buffer;
-  for (const auto& [origin, values] : segments) {
-    buffer.pack<std::int32_t>(origin);
-    buffer.pack<std::uint64_t>(values.size());
-    buffer.pack_span<T>(values);
-  }
-  return buffer;
-}
-
-/// Unpacks segments appended by pack_segments into `segments`.
-template <typename T>
-void unpack_segments(const rt::Message& message,
-                     std::map<int, std::vector<T>>& segments) {
-  rt::UnpackBuffer reader{message};
-  while (reader.remaining() > 0) {
-    const auto origin = reader.unpack<std::int32_t>();
-    const auto count = reader.unpack<std::uint64_t>();
-    auto values = reader.unpack_span<T>(count);
-    auto [it, inserted] = segments.emplace(origin, std::move(values));
-    if (!inserted) {
-      throw std::logic_error{"duplicate segment for origin pid " +
-                             std::to_string(origin)};
+/// Runs the caller's part of `schedule`: for every plan whose sync scope
+/// holds the caller, charges its compute, sends its transfers from the
+/// caller (payload `policy.payload(transfer, index)`, `index` counting
+/// transfers over the whole schedule), synchronises the scope and hands the
+/// delivered messages to `policy.deliver`.
+template <typename Policy>
+void execute(rt::Hbsp& ctx, const CommSchedule& schedule, Policy& policy) {
+  const int me = ctx.pid();
+  std::size_t index = 0;
+  for (const Phase& phase : schedule.phases) {
+    for (const SuperstepPlan& plan : phase.plans) {
+      const std::size_t base = index;
+      index += plan.transfers.size();
+      const auto [first, last] = ctx.machine().processor_range(plan.sync_scope);
+      if (me < first || me >= last) continue;
+      double ops = 0.0;
+      for (const ComputeWork& work : plan.compute) {
+        if (work.pid == me) ops += work.ops;
+      }
+      if (ops > 0.0) ctx.charge_compute(ops);
+      for (std::size_t i = 0; i < plan.transfers.size(); ++i) {
+        const Transfer& t = plan.transfers[i];
+        if (t.src_pid != me || t.dst_pid == me || t.items == 0) continue;
+        ctx.send(t.dst_pid, policy.payload(t, base + i), t.items);
+      }
+      ctx.sync_scope(plan.sync_scope);
+      policy.deliver(ctx.recv_all());
     }
   }
 }
 
+/// Payload policy of the collectives that move items. A processor holds
+/// segments of the global item sequence keyed by the offset of their first
+/// item; transfer `index` carries the slice [firsts[index], +items) of its
+/// sender's segments behind a header holding that offset. Gather, scatter
+/// and alltoall move the slice; broadcast and allgather (`keep`) copy it,
+/// and a receiver drops a copy whose first item it already holds (a
+/// broadcast source takes part in its cluster's exchange).
 template <typename T>
-std::size_t segment_items(const std::map<int, std::vector<T>>& segments) {
-  std::size_t total = 0;
-  for (const auto& [origin, values] : segments) total += values.size();
-  return total;
+struct Route {
+  explicit Route(bool copies = false) : keep(copies) {}
+
+  bool keep;
+  std::vector<std::size_t> firsts;  ///< filled by the planner
+  std::map<std::size_t, std::span<const T>> held;
+  std::vector<std::vector<T>> received;  ///< backs the received segments
+
+  /// Holds `values` as the items from `first` on; they are read, not copied,
+  /// and must outlive the run.
+  void hold(std::size_t first, std::span<const T> values) {
+    if (!values.empty()) held.emplace(first, values);
+  }
+
+  std::vector<std::byte> payload(const Transfer& transfer, std::size_t index) {
+    const std::size_t first = firsts[index];
+    rt::PackBuffer out;
+    out.pack<std::uint64_t>(first);
+    for (std::size_t at = first, end = first + transfer.items; at < end;) {
+      const auto it = find(at);
+      if (it == held.end()) {
+        throw std::logic_error{"route: item " + std::to_string(at) +
+                               " is not held by pid " +
+                               std::to_string(transfer.src_pid)};
+      }
+      const auto [segment_first, segment] = *it;
+      const std::size_t skip = at - segment_first;
+      const std::size_t count = std::min(end - at, segment.size() - skip);
+      out.pack_span<T>(segment.subspan(skip, count));
+      if (!keep) {  // hold on to what lies either side of the slice
+        held.erase(it);
+        if (skip > 0) held.emplace(segment_first, segment.first(skip));
+        if (skip + count < segment.size()) {
+          held.emplace(at + count, segment.subspan(skip + count));
+        }
+      }
+      at += count;
+    }
+    return out.take();
+  }
+
+  void deliver(std::vector<rt::Message>&& messages) {
+    for (const rt::Message& message : messages) {
+      rt::UnpackBuffer reader{message};
+      const auto first = static_cast<std::size_t>(reader.unpack<std::uint64_t>());
+      if (keep && find(first) != held.end()) continue;
+      const auto& values =
+          received.emplace_back(reader.unpack_span<T>(message.items));
+      if (!held.emplace(first, std::span<const T>{values}).second) {
+        throw std::logic_error{"route: duplicate segment at item " +
+                               std::to_string(first)};
+      }
+    }
+  }
+
+  /// The held items in offset order; throws std::logic_error unless there
+  /// are `expected` of them, when that is given.
+  [[nodiscard]] std::vector<T> assemble(
+      std::optional<std::size_t> expected = std::nullopt) {
+    std::size_t total = 0;
+    for (const auto& [first, segment] : held) total += segment.size();
+    if (expected && total != *expected) {
+      throw std::logic_error{"route: assembled " + std::to_string(total) +
+                             " of " + std::to_string(*expected) + " items"};
+    }
+    // A scatter's receivers hold one received message: hand it over whole.
+    if (held.size() == 1 && received.size() == 1 &&
+        held.begin()->second.data() == received[0].data() &&
+        total == received[0].size()) {
+      return std::move(received[0]);
+    }
+    std::vector<T> items;
+    items.reserve(total);
+    for (const auto& [first, segment] : held) {
+      items.insert(items.end(), segment.begin(), segment.end());
+    }
+    return items;
+  }
+
+  /// The held segment containing item `at`, or held.end().
+  auto find(std::size_t at) {
+    auto it = held.upper_bound(at);
+    if (it == held.begin()) return held.end();
+    --it;
+    return it->first + it->second.size() > at ? it : held.end();
+  }
+};
+
+/// Runs `schedule` with the payload policy of the folding collectives:
+/// every transfer carries one T, `value(dst)` of its sender, and each
+/// delivered value goes to `take(src, value)` in src pid order.
+template <typename T, typename Value, typename Take>
+void combine(rt::Hbsp& ctx, const CommSchedule& schedule, Value value,
+             Take take) {
+  struct Combine {
+    Value& value;
+    Take& take;
+    std::vector<std::byte> payload(const Transfer& transfer, std::size_t) {
+      rt::PackBuffer out;
+      out.pack<T>(value(transfer.dst_pid));
+      return out.take();
+    }
+    void deliver(std::vector<rt::Message>&& messages) {
+      for (const rt::Message& message : messages) {
+        take(message.src_pid, rt::UnpackBuffer{message}.unpack<T>());
+      }
+    }
+  } policy{value, take};
+  execute(ctx, schedule, policy);
 }
 
-/// The cluster of `pid`'s ancestors at `level`, or nullopt when the
-/// processor itself sits at or above that level (degenerate machines take no
-/// part in lower-level supersteps).
-inline std::optional<MachineId> participating_cluster(const MachineTree& tree,
-                                                      int pid, int level) {
-  if (tree.processor(pid).level >= level) return std::nullopt;
-  return tree.ancestor_at(pid, level);
+/// The global offset of the caller's share; throws std::invalid_argument
+/// unless `size` is that share's size.
+inline std::size_t share_offset(const rt::Hbsp& ctx, std::size_t size,
+                                std::size_t n, Shares shares, const char* who) {
+  const auto offsets = share_offsets(ctx.machine(), n, shares);
+  const auto pid = static_cast<std::size_t>(ctx.pid());
+  if (size == offsets[pid + 1] - offsets[pid]) return offsets[pid];
+  throw std::invalid_argument{std::string{who} +
+                              ": local data does not match the plan"};
 }
 
-/// The node whose data site `pid` would be within `cluster` at `level`: the
-/// child of `cluster` on `pid`'s root path.
-inline MachineId member_node(const MachineTree& tree, int pid, int level) {
-  const MachineId me = tree.processor(pid);
-  return me.level == level - 1 ? me : tree.ancestor_at(pid, level - 1);
+/// Payload policy of a replay: zero-filled payloads of 4 bytes per item from
+/// a pool that recycles each superstep's delivered payloads as the send
+/// buffers of the next.
+struct Synthetic {
+  rt::BufferPool pool;
+
+  std::vector<std::byte> payload(const Transfer& transfer, std::size_t) {
+    return pool.acquire(transfer.items * 4);
+  }
+  void deliver(std::vector<rt::Message>&& messages) {
+    pool.recycle(std::move(messages));
+  }
+};
+
+/// Holds the root's `input`, which must be all n items, in `route`.
+template <typename T>
+void hold_at_root(rt::Hbsp& ctx, int root_pid, std::span<const T> input,
+                  std::size_t n, Route<T>& route, const char* who) {
+  if (ctx.pid() != resolve_root(ctx.machine(), root_pid)) return;
+  if (input.size() != n) {
+    throw std::invalid_argument{std::string{who} +
+                                ": root input must hold all n items"};
+  }
+  route.hold(0, input);
 }
 
 }  // namespace detail
+
+/// Builds a Program where each processor performs its transfers (synthetic
+/// payloads of 4 bytes per item) and compute charges from `schedule`, phase
+/// by phase, synchronising each plan's scope — so the runtime's virtual time
+/// can be checked against the cluster simulator for *any* schedule. The
+/// schedule must be valid for `tree` (validate_schedule is called).
+[[nodiscard]] inline rt::Program make_replay_program(
+    const MachineTree& tree, const CommSchedule& schedule) {
+  validate_schedule(tree, schedule);
+  // The program captures the schedule by value so callers may discard theirs.
+  return [schedule](rt::Hbsp& ctx) {
+    // One pool per invocation: the runtime calls this lambda from every pid
+    // thread, and BufferPool is deliberately not thread-safe.
+    detail::Synthetic synthetic;
+    detail::execute(ctx, schedule, synthetic);
+    // Counters, not gauges: the per-pid totals are a pure function of the
+    // schedule, so the summed values are deterministic at any thread count.
+    auto& registry = obs::Registry::global();
+    registry.counter("rt.pool.acquires").add(synthetic.pool.acquires());
+    registry.counter("rt.pool.reuses").add(synthetic.pool.reuses());
+  };
+}
 
 /// Gathers the distributed items (shares per `leaf_shares`) to the root
 /// processor, bottom-up through the hierarchy (§4.2/4.3). Returns the items
@@ -90,53 +255,17 @@ template <typename T>
 std::optional<std::vector<T>> gather(rt::Hbsp& ctx, std::span<const T> mine,
                                      std::size_t n,
                                      const RootedOptions& options = {}) {
-  const MachineTree& tree = ctx.machine();
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
-  const auto shares = leaf_shares(tree, n, options.shares);
-  if (mine.size() != shares[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"gather: local data does not match the plan"};
+  detail::Route<T> route;
+  route.hold(detail::share_offset(ctx, mine.size(), n, options.shares, "gather"),
+             mine);
+  detail::execute(ctx,
+                  detail::rooted_schedule(ctx.machine(), n, options, true,
+                                          &route.firsts),
+                  route);
+  if (ctx.pid() != detail::resolve_root(ctx.machine(), options.root_pid)) {
+    return std::nullopt;
   }
-
-  std::map<int, std::vector<T>> segments;
-  if (!mine.empty()) {
-    segments.emplace(ctx.pid(), std::vector<T>(mine.begin(), mine.end()));
-  }
-
-  for (int level = 1; level <= tree.height(); ++level) {
-    const auto cluster = detail::participating_cluster(tree, ctx.pid(), level);
-    if (!cluster) continue;
-    const int target = cluster_target(tree, *cluster, root_pid);
-    const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int site = tree.is_processor(member)
-                         ? ctx.pid()
-                         : cluster_target(tree, member, root_pid);
-    if (ctx.pid() == site && ctx.pid() != target && !segments.empty()) {
-      auto buffer = detail::pack_segments(segments);
-      const std::size_t items = detail::segment_items(segments);
-      ctx.send(target, buffer.take(), items);
-      segments.clear();
-    }
-    ctx.sync_scope(*cluster);
-    if (ctx.pid() == target) {
-      for (const auto& message : ctx.recv_all()) {
-        detail::unpack_segments<T>(message, segments);
-      }
-    }
-  }
-
-  if (ctx.pid() != root_pid) return std::nullopt;
-  std::vector<T> result;
-  result.reserve(n);
-  for (const auto& [origin, values] : segments) {
-    result.insert(result.end(), values.begin(), values.end());
-  }
-  if (result.size() != n) {
-    throw std::logic_error{"gather: assembled " + std::to_string(result.size()) +
-                           " of " + std::to_string(n) + " items"};
-  }
-  return result;
+  return route.assemble(n);
 }
 
 /// Scatters `input` (held by the root, in pid order) so every processor ends
@@ -144,84 +273,13 @@ std::optional<std::vector<T>> gather(rt::Hbsp& ctx, std::span<const T> mine,
 template <typename T>
 std::vector<T> scatter(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
                        const RootedOptions& options = {}) {
-  const MachineTree& tree = ctx.machine();
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
-  const auto shares = leaf_shares(tree, n, options.shares);
-
-  // Prefix offsets: items of pid `p` live at [offset[p], offset[p+1]).
-  std::vector<std::size_t> offsets(shares.size() + 1, 0);
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    offsets[i + 1] = offsets[i] + shares[i];
-  }
-
-  std::vector<T> buffer;
-  int buffer_first = 0;  // pid range my buffer covers: [buffer_first, buffer_last)
-  int buffer_last = 0;
-  if (ctx.pid() == root_pid) {
-    if (input.size() != n) {
-      throw std::invalid_argument{"scatter: root input must hold all n items"};
-    }
-    buffer.assign(input.begin(), input.end());
-    buffer_first = 0;
-    buffer_last = tree.num_processors();
-  }
-
-  for (int level = tree.height(); level >= 1; --level) {
-    const auto cluster = detail::participating_cluster(tree, ctx.pid(), level);
-    if (!cluster) continue;
-    const int source = cluster_target(tree, *cluster, root_pid);
-    if (ctx.pid() == source) {
-      for (int child = 0; child < tree.num_children(*cluster); ++child) {
-        const MachineId cid = tree.child(*cluster, child);
-        const auto [first, last] = tree.processor_range(cid);
-        const int site = tree.is_processor(cid)
-                             ? tree.node(cid).pid
-                             : cluster_target(tree, cid, root_pid);
-        const std::size_t count = offsets[static_cast<std::size_t>(last)] -
-                                  offsets[static_cast<std::size_t>(first)];
-        if (site == source || count == 0) continue;
-        const std::size_t begin =
-            offsets[static_cast<std::size_t>(first)] -
-            offsets[static_cast<std::size_t>(buffer_first)];
-        rt::PackBuffer out;
-        out.pack_span<T>(std::span<const T>{buffer.data() + begin, count});
-        ctx.send(site, out.take(), count);
-      }
-    }
-    ctx.sync_scope(*cluster);
-    const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int my_site = tree.is_processor(member)
-                            ? ctx.pid()
-                            : cluster_target(tree, member, root_pid);
-    if (ctx.pid() == my_site && ctx.pid() != source) {
-      auto messages = ctx.recv_all();
-      if (!messages.empty()) {
-        rt::UnpackBuffer reader{messages.front()};
-        const auto [first, last] = tree.processor_range(member);
-        buffer = reader.unpack_span<T>(offsets[static_cast<std::size_t>(last)] -
-                                       offsets[static_cast<std::size_t>(first)]);
-        buffer_first = first;
-        buffer_last = last;
-      }
-    } else if (ctx.pid() == source) {
-      // Trim my buffer to my own member subtree for the next level.
-      const MachineId member_of_source = detail::member_node(tree, ctx.pid(), level);
-      const auto [first, last] = tree.processor_range(member_of_source);
-      const std::size_t begin = offsets[static_cast<std::size_t>(first)] -
-                                offsets[static_cast<std::size_t>(buffer_first)];
-      const std::size_t count = offsets[static_cast<std::size_t>(last)] -
-                                offsets[static_cast<std::size_t>(first)];
-      buffer = std::vector<T>(buffer.begin() + static_cast<std::ptrdiff_t>(begin),
-                              buffer.begin() +
-                                  static_cast<std::ptrdiff_t>(begin + count));
-      buffer_first = first;
-      buffer_last = last;
-    }
-  }
-  (void)buffer_last;
-  return buffer;
+  detail::Route<T> route;
+  detail::hold_at_root(ctx, options.root_pid, input, n, route, "scatter");
+  detail::execute(ctx,
+                  detail::rooted_schedule(ctx.machine(), n, options, false,
+                                          &route.firsts),
+                  route);
+  return route.assemble();
 }
 
 /// Broadcasts `input` (held by the root) to every processor (§4.4): one- or
@@ -230,131 +288,12 @@ std::vector<T> scatter(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
 template <typename T>
 std::vector<T> broadcast(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
                          const BroadcastOptions& options = {}) {
-  const MachineTree& tree = ctx.machine();
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
-
-  std::vector<T> full;
-  if (ctx.pid() == root_pid) {
-    if (input.size() != n) {
-      throw std::invalid_argument{"broadcast: root input must hold all n items"};
-    }
-    full.assign(input.begin(), input.end());
-  }
-
-  for (int level = tree.height(); level >= 1; --level) {
-    const auto cluster = detail::participating_cluster(tree, ctx.pid(), level);
-    if (!cluster) continue;
-    const int src = cluster_target(tree, *cluster, root_pid);
-    const int m = tree.num_children(*cluster);
-    const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int my_ordinal = analysis::member_of_pid(tree, *cluster, ctx.pid());
-    const int my_site = tree.is_processor(member)
-                            ? ctx.pid()
-                            : cluster_target(tree, member, root_pid);
-    std::vector<int> sites(static_cast<std::size_t>(m));
-    for (int j = 0; j < m; ++j) {
-      const MachineId cid = tree.child(*cluster, j);
-      sites[static_cast<std::size_t>(j)] =
-          tree.is_processor(cid) ? tree.node(cid).pid
-                                 : cluster_target(tree, cid, root_pid);
-    }
-
-    const bool top = level == tree.height();
-    if (top && options.top_phase == TopPhase::kOnePhase) {
-      if (ctx.pid() == src) {
-        for (int j = 0; j < m; ++j) {
-          const int site = sites[static_cast<std::size_t>(j)];
-          if (site == src) continue;
-          rt::PackBuffer out;
-          out.pack_span<T>(std::span<const T>{full});
-          ctx.send(site, out.take(), n);
-        }
-      }
-      ctx.sync_scope(*cluster);
-      if (ctx.pid() == my_site && ctx.pid() != src) {
-        auto messages = ctx.recv_all();
-        if (messages.size() != 1) {
-          throw std::logic_error{"broadcast: expected exactly one message"};
-        }
-        rt::UnpackBuffer reader{messages.front()};
-        full = reader.unpack_span<T>(n);
-      }
-      continue;
-    }
-
-    // Two-phase. Phase A: scatter member pieces of the full array.
-    const auto split = analysis::broadcast_pieces(tree, *cluster, n, options.shares);
-    std::vector<std::size_t> piece_offset(split.size() + 1, 0);
-    for (std::size_t j = 0; j < split.size(); ++j) {
-      piece_offset[j + 1] = piece_offset[j] + split[j];
-    }
-    if (ctx.pid() == src) {
-      for (int j = 0; j < m; ++j) {
-        const int site = sites[static_cast<std::size_t>(j)];
-        const std::size_t count = split[static_cast<std::size_t>(j)];
-        if (site == src || count == 0) continue;
-        rt::PackBuffer out;
-        out.pack_span<T>(std::span<const T>{
-            full.data() + piece_offset[static_cast<std::size_t>(j)], count});
-        ctx.send(site, out.take(), count);
-      }
-    }
-    ctx.sync_scope(*cluster);
-    std::vector<T> piece;
-    if (ctx.pid() == my_site) {
-      const std::size_t my_count = split[static_cast<std::size_t>(my_ordinal)];
-      if (ctx.pid() == src) {
-        piece.assign(
-            full.begin() +
-                static_cast<std::ptrdiff_t>(
-                    piece_offset[static_cast<std::size_t>(my_ordinal)]),
-            full.begin() +
-                static_cast<std::ptrdiff_t>(
-                    piece_offset[static_cast<std::size_t>(my_ordinal)] + my_count));
-      } else {
-        auto messages = ctx.recv_all();
-        if (my_count > 0) {
-          if (messages.size() != 1) {
-            throw std::logic_error{"broadcast: expected one scatter message"};
-          }
-          rt::UnpackBuffer reader{messages.front()};
-          piece = reader.unpack_span<T>(my_count);
-        }
-      }
-    }
-
-    // Phase B: total exchange of pieces among the member sites.
-    if (ctx.pid() == my_site && !piece.empty()) {
-      for (int i = 0; i < m; ++i) {
-        const int site = sites[static_cast<std::size_t>(i)];
-        if (i == my_ordinal || site == ctx.pid()) continue;
-        rt::PackBuffer out;
-        out.pack<std::int32_t>(my_ordinal);
-        out.pack_span<T>(std::span<const T>{piece});
-        ctx.send(site, out.take(), piece.size());
-      }
-    }
-    ctx.sync_scope(*cluster);
-    if (ctx.pid() == my_site) {
-      std::vector<std::vector<T>> pieces(static_cast<std::size_t>(m));
-      pieces[static_cast<std::size_t>(my_ordinal)] = std::move(piece);
-      for (const auto& message : ctx.recv_all()) {
-        rt::UnpackBuffer reader{message};
-        const auto ordinal = reader.unpack<std::int32_t>();
-        pieces[static_cast<std::size_t>(ordinal)] =
-            reader.unpack_span<T>(split[static_cast<std::size_t>(ordinal)]);
-      }
-      full.clear();
-      full.reserve(n);
-      for (auto& p : pieces) full.insert(full.end(), p.begin(), p.end());
-      if (full.size() != n) {
-        throw std::logic_error{"broadcast: exchange assembled wrong size"};
-      }
-    }
-  }
-  return full;
+  detail::Route<T> route{true};
+  detail::hold_at_root(ctx, options.root_pid, input, n, route, "broadcast");
+  detail::execute(
+      ctx, detail::broadcast_schedule(ctx.machine(), n, options, &route.firsts),
+      route);
+  return route.assemble(n);
 }
 
 /// HBSP^1 all-gather: every processor contributes its share and ends with
@@ -362,84 +301,37 @@ std::vector<T> broadcast(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
 template <typename T>
 std::vector<T> allgather(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
                          Shares shares = Shares::kBalanced) {
-  const MachineTree& tree = ctx.machine();
-  detail::require_flat(tree, "allgather");
-  const auto split = leaf_shares(tree, n, shares);
-  if (mine.size() != split[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"allgather: local data does not match the plan"};
-  }
-  if (!mine.empty()) {
-    for (int dst = 0; dst < ctx.nprocs(); ++dst) {
-      if (dst == ctx.pid()) continue;
-      rt::PackBuffer out;
-      out.pack_span<T>(mine);
-      ctx.send(dst, out.take(), mine.size());
-    }
-  }
-  ctx.sync_scope(tree.root());
-  std::vector<std::vector<T>> pieces(static_cast<std::size_t>(ctx.nprocs()));
-  pieces[static_cast<std::size_t>(ctx.pid())] =
-      std::vector<T>(mine.begin(), mine.end());
-  for (const auto& message : ctx.recv_all()) {
-    rt::UnpackBuffer reader{message};
-    pieces[static_cast<std::size_t>(message.src_pid)] = reader.unpack_span<T>(
-        split[static_cast<std::size_t>(message.src_pid)]);
-  }
-  std::vector<T> full;
-  full.reserve(n);
-  for (auto& p : pieces) full.insert(full.end(), p.begin(), p.end());
-  if (full.size() != n) {
-    throw std::logic_error{"allgather: assembled wrong size"};
-  }
-  return full;
+  detail::Route<T> route{true};
+  route.hold(detail::share_offset(ctx, mine.size(), n, shares, "allgather"),
+             mine);
+  detail::execute(
+      ctx, detail::allgather_schedule(ctx.machine(), n, shares, &route.firsts),
+      route);
+  return route.assemble(n);
 }
 
 /// HBSP^1 reduction with a binary operation; returns the result at the root,
-/// nullopt elsewhere. `identity` seeds empty shares.
+/// nullopt elsewhere. The root folds the processors' partials in pid order,
+/// starting from `identity`, which also seeds empty shares.
 template <typename T, typename Op>
 std::optional<T> reduce(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
                         Op op, T identity, const RootedOptions& options = {}) {
   const MachineTree& tree = ctx.machine();
-  detail::require_flat(tree, "reduce");
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
-  const auto split = leaf_shares(tree, n, options.shares);
-  if (mine.size() != split[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"reduce: local data does not match the plan"};
-  }
-
-  T partial = identity;
-  for (const T& value : mine) partial = op(partial, value);
-  if (!mine.empty()) {
-    ctx.charge_compute(static_cast<double>(mine.size()) - 1.0);
-  }
-  if (ctx.pid() != root_pid) {
-    rt::PackBuffer out;
-    out.pack<T>(partial);
-    ctx.send(root_pid, out.take(), 1);
-  }
-  ctx.sync_scope(tree.root());
-
-  if (ctx.pid() != root_pid) {
-    ctx.sync_scope(tree.root());  // pair the root's combine superstep
+  (void)detail::share_offset(ctx, mine.size(), n, options.shares, "reduce");
+  std::vector<T> partials(static_cast<std::size_t>(ctx.nprocs()), identity);
+  T& partial = partials[static_cast<std::size_t>(ctx.pid())];
+  partial = std::accumulate(mine.begin(), mine.end(), identity, op);
+  detail::combine<T>(
+      ctx, plan_reduce(tree, n, options), [&](int) { return partial; },
+      [&](int src, T value) { partials[static_cast<std::size_t>(src)] = value; });
+  if (ctx.pid() != detail::resolve_root(tree, options.root_pid)) {
     return std::nullopt;
   }
-  std::vector<T> partials(static_cast<std::size_t>(ctx.nprocs()), identity);
-  partials[static_cast<std::size_t>(ctx.pid())] = partial;
-  for (const auto& message : ctx.recv_all()) {
-    rt::UnpackBuffer reader{message};
-    partials[static_cast<std::size_t>(message.src_pid)] = reader.unpack<T>();
-  }
-  T result = identity;
-  for (const T& value : partials) result = op(result, value);
-  ctx.charge_compute(static_cast<double>(ctx.nprocs()) - 1.0);
-  ctx.sync_scope(tree.root());
-  return result;
+  return std::accumulate(partials.begin(), partials.end(), identity, op);
 }
 
 /// HBSP^k all-gather: gather to the machine's coordinator, then broadcast
-/// back out (the runnable counterpart of plan_allgather_tree). Every
+/// back out — the two schedules plan_allgather_tree concatenates. Every
 /// processor returns the full n items in pid order.
 template <typename T>
 std::vector<T> allgather_tree(rt::Hbsp& ctx, std::span<const T> mine,
@@ -448,154 +340,66 @@ std::vector<T> allgather_tree(rt::Hbsp& ctx, std::span<const T> mine,
   if (tree.num_children(tree.root()) == 0) {
     throw std::invalid_argument{"allgather_tree: single-processor machine"};
   }
-  const int root = tree.coordinator_pid(tree.root());
-  const auto at_root =
-      gather<T>(ctx, mine, n, {.root_pid = root, .shares = shares});
+  const auto at_root = gather<T>(ctx, mine, n, {.root_pid = -1, .shares = shares});
   return broadcast<T>(
-      ctx,
-      at_root ? std::span<const T>{*at_root} : std::span<const T>{}, n,
-      {.root_pid = root, .top_phase = TopPhase::kTwoPhase,
+      ctx, at_root ? std::span<const T>{*at_root} : std::span<const T>{}, n,
+      {.root_pid = -1, .top_phase = TopPhase::kTwoPhase,
        .shares = Shares::kEqual});
 }
 
 /// HBSP^k reduction with a binary operation: partials flow up the tree one
 /// level per superstep, each cluster folding concurrently under its own
-/// barrier (the runnable counterpart of plan_reduce_tree). Returns the
-/// result at the root processor, nullopt elsewhere.
+/// barrier; a target folds the partials it receives into its own in src pid
+/// order. Returns the result at the root processor, nullopt elsewhere.
 template <typename T, typename Op>
 std::optional<T> reduce_tree(rt::Hbsp& ctx, std::span<const T> mine,
                              std::size_t n, Op op, T identity,
                              const RootedOptions& options = {}) {
   const MachineTree& tree = ctx.machine();
-  if (tree.num_children(tree.root()) == 0) {
-    throw std::invalid_argument{"reduce_tree: single-processor machine"};
+  (void)detail::share_offset(ctx, mine.size(), n, options.shares,
+                             "reduce_tree");
+  T partial = std::accumulate(mine.begin(), mine.end(), identity, op);
+  detail::combine<T>(
+      ctx, plan_reduce_tree(tree, n, options), [&](int) { return partial; },
+      [&](int, T value) { partial = op(partial, value); });
+  if (ctx.pid() != detail::resolve_root(tree, options.root_pid)) {
+    return std::nullopt;
   }
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
-  const auto shares = leaf_shares(tree, n, options.shares);
-  if (mine.size() != shares[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"reduce_tree: local data does not match the plan"};
-  }
-
-  T partial = identity;
-  for (const T& value : mine) partial = op(partial, value);
-  // Ops owed to the virtual clock, charged in the next participating phase
-  // (mirrors plan_reduce_tree's accounting exactly).
-  double pending_ops = mine.empty() ? 0.0 : static_cast<double>(mine.size()) - 1.0;
-
-  for (int level = 1; level <= tree.height(); ++level) {
-    const auto cluster = detail::participating_cluster(tree, ctx.pid(), level);
-    if (!cluster) continue;
-    const int target = cluster_target(tree, *cluster, root_pid);
-    const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int my_site = tree.is_processor(member)
-                            ? ctx.pid()
-                            : cluster_target(tree, member, root_pid);
-    if (ctx.pid() == my_site) {
-      if (pending_ops > 0.0) {
-        ctx.charge_compute(pending_ops);
-        pending_ops = 0.0;
-      }
-      if (ctx.pid() != target) {
-        rt::PackBuffer out;
-        out.pack<T>(partial);
-        ctx.send(target, out.take(), 1);
-      }
-    }
-    ctx.sync_scope(*cluster);
-    if (ctx.pid() == target) {
-      for (const auto& message : ctx.recv_all()) {
-        rt::UnpackBuffer reader{message};
-        partial = op(partial, reader.unpack<T>());
-        pending_ops += 1.0;
-      }
-    }
-  }
-
-  // Final superstep: the root target folds what the last barrier delivered.
-  if (ctx.pid() == root_pid && pending_ops > 0.0) {
-    ctx.charge_compute(pending_ops);
-  }
-  ctx.sync_scope(tree.root());
-  if (ctx.pid() != root_pid) return std::nullopt;
   return partial;
 }
 
-namespace detail {
-/// The coordinator's own exclusive offset, remembered across the superstep
-/// boundary without a self-send (§5.2: no self-sends). One slot per thread is
-/// safe: each processor runs on its own thread and scans don't nest.
-template <typename T>
-inline thread_local T scan_offset_stash{};
-}  // namespace detail
-
 /// HBSP^1 inclusive scan over the global pid-ordered sequence: returns this
-/// processor's items replaced by their global running totals.
+/// processor's items replaced by their global running totals. The
+/// coordinator hands each processor the exclusive prefix, from `identity`,
+/// of the share totals over pid order.
 template <typename T, typename Op>
 std::vector<T> scan(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
                     Op op, T identity, Shares shares = Shares::kBalanced) {
   const MachineTree& tree = ctx.machine();
-  detail::require_flat(tree, "scan");
-  const int root_pid = tree.coordinator_pid(tree.root());
-  const auto split = leaf_shares(tree, n, shares);
-  if (mine.size() != split[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"scan: local data does not match the plan"};
-  }
-
-  // Superstep 1: local inclusive prefix; totals to the coordinator.
+  (void)detail::share_offset(ctx, mine.size(), n, shares, "scan");
+  const bool root = ctx.pid() == tree.coordinator_pid(tree.root());
   std::vector<T> local(mine.begin(), mine.end());
-  T running = identity;
-  for (T& value : local) {
-    running = op(running, value);
-    value = running;
-  }
-  if (!local.empty()) ctx.charge_compute(static_cast<double>(local.size()));
-  if (ctx.pid() != root_pid) {
-    rt::PackBuffer out;
-    out.pack<T>(running);
-    ctx.send(root_pid, out.take(), 1);
-  }
-  ctx.sync_scope(tree.root());
+  std::vector<T> totals(static_cast<std::size_t>(ctx.nprocs()), identity);
+  T& running = totals[static_cast<std::size_t>(ctx.pid())];
+  for (T& value : local) value = running = op(running, value);
 
-  // Superstep 2: the coordinator prefixes the totals and returns offsets.
-  if (ctx.pid() == root_pid) {
-    std::vector<T> totals(static_cast<std::size_t>(ctx.nprocs()), identity);
-    totals[static_cast<std::size_t>(ctx.pid())] = running;
-    for (const auto& message : ctx.recv_all()) {
-      rt::UnpackBuffer reader{message};
-      totals[static_cast<std::size_t>(message.src_pid)] = reader.unpack<T>();
+  std::vector<T> offsets;  // the coordinator's, built when first needed
+  const auto offset_of = [&](int pid) {
+    for (T prefix = identity; offsets.size() < totals.size();) {
+      offsets.push_back(prefix);
+      prefix = op(prefix, totals[offsets.size() - 1]);
     }
-    T prefix = identity;
-    ctx.charge_compute(static_cast<double>(ctx.nprocs()));
-    for (int pid = 0; pid < ctx.nprocs(); ++pid) {
-      if (pid != root_pid) {
-        rt::PackBuffer out;
-        out.pack<T>(prefix);  // exclusive offset for pid
-        ctx.send(pid, out.take(), 1);
-      } else {
-        detail::scan_offset_stash<T> = prefix;
-      }
-      prefix = op(prefix, totals[static_cast<std::size_t>(pid)]);
-    }
-  }
-  ctx.sync_scope(tree.root());
-
-  // Superstep 3: apply the offset locally.
+    return offsets[static_cast<std::size_t>(pid)];
+  };
   T offset = identity;
-  if (ctx.pid() == root_pid) {
-    offset = detail::scan_offset_stash<T>;
-  } else {
-    auto messages = ctx.recv_all();
-    if (messages.size() != 1) {
-      throw std::logic_error{"scan: expected exactly one offset message"};
-    }
-    rt::UnpackBuffer reader{messages.front()};
-    offset = reader.unpack<T>();
-  }
+  detail::combine<T>(
+      ctx, plan_scan(tree, n, shares),
+      [&](int dst) { return root ? offset_of(dst) : running; },
+      [&](int src, T value) {
+        (root ? totals[static_cast<std::size_t>(src)] : offset) = value;
+      });
+  if (root) offset = offset_of(ctx.pid());
   for (T& value : local) value = op(offset, value);
-  if (!local.empty()) ctx.charge_compute(static_cast<double>(local.size()));
-  ctx.sync_scope(tree.root());
   return local;
 }
 
@@ -606,42 +410,13 @@ std::vector<T> scan(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
 template <typename T>
 std::vector<T> alltoall(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
                         Shares shares = Shares::kBalanced) {
-  const MachineTree& tree = ctx.machine();
-  detail::require_flat(tree, "alltoall");
-  const auto split = leaf_shares(tree, n, shares);
-  if (mine.size() != split[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"alltoall: local data does not match the plan"};
-  }
-  const auto p = static_cast<std::size_t>(ctx.nprocs());
-  const auto blocks = equal_partition(mine.size(), p);
-  std::vector<std::size_t> offsets(p + 1, 0);
-  for (std::size_t i = 0; i < p; ++i) offsets[i + 1] = offsets[i] + blocks[i];
-
-  for (std::size_t i = 0; i < p; ++i) {
-    if (static_cast<int>(i) == ctx.pid() || blocks[i] == 0) continue;
-    rt::PackBuffer out;
-    out.pack_span<T>(std::span<const T>{mine.data() + offsets[i], blocks[i]});
-    ctx.send(static_cast<int>(i), out.take(), blocks[i]);
-  }
-  ctx.sync_scope(tree.root());
-
-  std::vector<std::vector<T>> received(p);
-  received[static_cast<std::size_t>(ctx.pid())] = std::vector<T>(
-      mine.begin() + static_cast<std::ptrdiff_t>(
-                         offsets[static_cast<std::size_t>(ctx.pid())]),
-      mine.begin() + static_cast<std::ptrdiff_t>(
-                         offsets[static_cast<std::size_t>(ctx.pid())] +
-                         blocks[static_cast<std::size_t>(ctx.pid())]));
-  for (const auto& message : ctx.recv_all()) {
-    rt::UnpackBuffer reader{message};
-    received[static_cast<std::size_t>(message.src_pid)] =
-        reader.unpack_span<T>(message.items);
-  }
-  std::vector<T> result;
-  for (auto& block : received) {
-    result.insert(result.end(), block.begin(), block.end());
-  }
-  return result;
+  detail::Route<T> route;
+  route.hold(detail::share_offset(ctx, mine.size(), n, shares, "alltoall"),
+             mine);
+  detail::execute(
+      ctx, detail::alltoall_schedule(ctx.machine(), n, shares, &route.firsts),
+      route);
+  return route.assemble();
 }
 
 }  // namespace hbsp::coll

@@ -1,6 +1,6 @@
 #include "collectives/planners.hpp"
 
-#include <map>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -10,50 +10,74 @@
 namespace hbsp::coll {
 namespace {
 
+using NodeShares = std::vector<std::vector<std::size_t>>;  // [level][index]
+using detail::Firsts;
+
 /// Counts one planner invocation in the `coll.*` metric family (composed
-/// planners like allgather-tree also count their nested gather/broadcast —
-/// plans_built tallies planner calls, not emitted schedules).
+/// planners like allgather-tree also count their nested gather/broadcast,
+/// and an SPMD collective plans on each of its p processors — plans_built
+/// tallies planner calls, not emitted schedules).
 void note_plan(const std::string& kind) {
   auto& registry = obs::Registry::global();
   registry.counter("coll.plans_built").increment();
   registry.counter("coll.plan." + kind).increment();
 }
 
-/// Per-node shares of n items, [level][index], computed by recursive
-/// member_shares splits from the root down.
-std::vector<std::vector<std::size_t>> node_shares(const MachineTree& tree,
-                                                  std::size_t n, Shares shares) {
-  std::vector<std::vector<std::size_t>> result(
-      static_cast<std::size_t>(tree.num_levels()));
+template <typename PerNode>  // NodeShares, const or not
+auto& share_of(PerNode& shares, MachineId id) {
+  return shares[static_cast<std::size_t>(id.level)]
+               [static_cast<std::size_t>(id.index)];
+}
+
+/// Per-node shares of n items, computed by recursive member_shares splits
+/// from the root down.
+NodeShares node_shares(const MachineTree& tree, std::size_t n, Shares shares) {
+  NodeShares result;
   for (int level = 0; level < tree.num_levels(); ++level) {
-    result[static_cast<std::size_t>(level)].resize(
-        static_cast<std::size_t>(tree.machines_at(level)), 0);
+    result.emplace_back(static_cast<std::size_t>(tree.machines_at(level)), 0);
   }
-  result[static_cast<std::size_t>(tree.height())][0] = n;
+  share_of(result, tree.root()) = n;
   for (int level = tree.height(); level >= 1; --level) {
     for (int j = 0; j < tree.machines_at(level); ++j) {
       const MachineId id{level, j};
       if (tree.is_processor(id)) continue;
-      const std::size_t my_share =
-          result[static_cast<std::size_t>(level)][static_cast<std::size_t>(j)];
-      const auto split = analysis::member_shares(tree, id, my_share, shares);
+      const auto split =
+          analysis::member_shares(tree, id, share_of(result, id), shares);
       for (int child = 0; child < tree.num_children(id); ++child) {
-        const MachineId cid = tree.child(id, child);
-        result[static_cast<std::size_t>(cid.level)]
-              [static_cast<std::size_t>(cid.index)] =
-                  split[static_cast<std::size_t>(child)];
+        share_of(result, tree.child(id, child)) =
+            split[static_cast<std::size_t>(child)];
       }
     }
   }
   return result;
 }
 
-int normalize_root(const MachineTree& tree, int root_pid) {
-  if (root_pid < 0) return tree.coordinator_pid(tree.root());
-  if (root_pid >= tree.num_processors()) {
-    throw std::invalid_argument{"bad root pid " + std::to_string(root_pid)};
+/// Prefix sums of the processors' shares in pid order (p + 1 entries).
+std::vector<std::size_t> pid_offsets(const MachineTree& tree,
+                                     const NodeShares& shares) {
+  std::vector<std::size_t> offsets{0};
+  for (int pid = 0; pid < tree.num_processors(); ++pid) {
+    offsets.push_back(offsets.back() + share_of(shares, tree.processor(pid)));
   }
-  return root_pid;
+  return offsets;
+}
+
+/// Appends a plan synchronising `scope` to `phase`.
+SuperstepPlan& add_plan(Phase& phase, const std::string& label, int level,
+                        MachineId scope) {
+  SuperstepPlan& plan = phase.plans.emplace_back();
+  plan.label = label + " L" + std::to_string(level);
+  plan.level = level;
+  plan.sync_scope = scope;
+  return plan;
+}
+
+/// Appends `transfer` to `plan` and, when the caller asked for them, the
+/// global offset of the first item it carries to `firsts`.
+void add_transfer(SuperstepPlan& plan, Firsts* firsts, Transfer transfer,
+                  std::size_t first) {
+  plan.transfers.push_back(transfer);
+  if (firsts != nullptr) firsts->push_back(first);
 }
 
 /// Data location of node `id` for a rooted collective: the processor itself,
@@ -63,52 +87,26 @@ int data_site(const MachineTree& tree, MachineId id, int root_pid) {
   return cluster_target(tree, id, root_pid);
 }
 
-/// Adds the two-phase broadcast of `n` items from `cluster`'s data site to
-/// every child's data site: a scatter plan into `scatter_phase` and a total
-/// exchange plan into `exchange_phase`.
-void add_two_phase_broadcast(const MachineTree& tree, MachineId cluster,
-                             int root_pid, std::size_t n, Shares shares,
-                             int level, Phase& scatter_phase,
-                             Phase& exchange_phase) {
-  const int src = cluster_target(tree, cluster, root_pid);
-  const auto split = analysis::broadcast_pieces(tree, cluster, n, shares);
-  const int m = tree.num_children(cluster);
-
-  SuperstepPlan& scatter = scatter_phase.plans.emplace_back();
-  scatter.label = "bcast scatter L" + std::to_string(level);
-  scatter.level = level;
-  scatter.sync_scope = cluster;
-  std::vector<int> sites(static_cast<std::size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    sites[static_cast<std::size_t>(j)] = data_site(tree, tree.child(cluster, j),
-                                                   root_pid);
-    if (sites[static_cast<std::size_t>(j)] != src &&
-        split[static_cast<std::size_t>(j)] > 0) {
-      scatter.transfers.push_back(
-          {src, sites[static_cast<std::size_t>(j)], split[static_cast<std::size_t>(j)]});
-    }
-  }
-
-  SuperstepPlan& exchange = exchange_phase.plans.emplace_back();
-  exchange.label = "bcast exchange L" + std::to_string(level);
-  exchange.level = level;
-  exchange.sync_scope = cluster;
-  for (int j = 0; j < m; ++j) {
-    for (int i = 0; i < m; ++i) {
-      if (i == j || split[static_cast<std::size_t>(j)] == 0) continue;
-      if (sites[static_cast<std::size_t>(j)] == sites[static_cast<std::size_t>(i)]) {
-        continue;
-      }
-      exchange.transfers.push_back({sites[static_cast<std::size_t>(j)],
-                                    sites[static_cast<std::size_t>(i)],
-                                    split[static_cast<std::size_t>(j)]});
-    }
-  }
-}
-
 }  // namespace
 
+std::vector<std::size_t> leaf_shares(const MachineTree& tree, std::size_t n,
+                                     Shares shares) {
+  const auto offsets = detail::share_offsets(tree, n, shares);
+  std::vector<std::size_t> result(offsets.size() - 1);
+  std::adjacent_difference(offsets.begin() + 1, offsets.end(), result.begin());
+  return result;
+}
+
+int cluster_target(const MachineTree& tree, MachineId cluster, int root_pid) {
+  if (root_pid >= 0) {
+    const auto [first, last] = tree.processor_range(cluster);
+    if (root_pid >= first && root_pid < last) return root_pid;
+  }
+  return tree.coordinator_pid(cluster);
+}
+
 namespace detail {
+
 void require_flat(const MachineTree& tree, const char* who) {
   const MachineId root = tree.root();
   for (int j = 0; j < tree.num_children(root); ++j) {
@@ -122,55 +120,49 @@ void require_flat(const MachineTree& tree, const char* who) {
                                 ": machine has a single processor"};
   }
 }
-}  // namespace detail
 
-std::vector<std::size_t> leaf_shares(const MachineTree& tree, std::size_t n,
-                                     Shares shares) {
-  const auto per_node = node_shares(tree, n, shares);
-  std::vector<std::size_t> result(static_cast<std::size_t>(tree.num_processors()));
-  for (int pid = 0; pid < tree.num_processors(); ++pid) {
-    const MachineId id = tree.processor(pid);
-    result[static_cast<std::size_t>(pid)] =
-        per_node[static_cast<std::size_t>(id.level)]
-                [static_cast<std::size_t>(id.index)];
+int resolve_root(const MachineTree& tree, int root_pid) {
+  if (root_pid < 0) return tree.coordinator_pid(tree.root());
+  if (root_pid >= tree.num_processors()) {
+    throw std::invalid_argument{"bad root pid " + std::to_string(root_pid)};
   }
-  return result;
+  return root_pid;
 }
 
-int cluster_target(const MachineTree& tree, MachineId cluster, int root_pid) {
-  if (root_pid >= 0) {
-    const auto [first, last] = tree.processor_range(cluster);
-    if (root_pid >= first && root_pid < last) return root_pid;
-  }
-  return tree.coordinator_pid(cluster);
+std::vector<std::size_t> share_offsets(const MachineTree& tree, std::size_t n,
+                                       Shares shares) {
+  return pid_offsets(tree, node_shares(tree, n, shares));
 }
 
-CommSchedule plan_gather(const MachineTree& tree, std::size_t n,
-                         const RootedOptions& options) {
-  note_plan("gather");
-  const int root_pid = normalize_root(tree, options.root_pid);
-  const auto shares = node_shares(tree, n, options.shares);
+
+CommSchedule rooted_schedule(const MachineTree& tree, std::size_t n,
+                             const RootedOptions& options, bool gather,
+                             Firsts* firsts) {
+  note_plan(gather ? "gather" : "scatter");
+  const int root_pid = resolve_root(tree, options.root_pid);
+  const NodeShares shares = node_shares(tree, n, options.shares);
+  const auto offsets = pid_offsets(tree, shares);
 
   CommSchedule schedule;
-  schedule.name = "gather";
-  for (int level = 1; level <= tree.height(); ++level) {
+  schedule.name = gather ? "gather" : "scatter";
+  for (int step = 1; step <= tree.height(); ++step) {
+    const int level = gather ? step : tree.height() + 1 - step;
     Phase phase;
     for (int j = 0; j < tree.machines_at(level); ++j) {
       const MachineId cluster{level, j};
       if (tree.is_processor(cluster)) continue;
-      SuperstepPlan& plan = phase.plans.emplace_back();
-      plan.label = "gather L" + std::to_string(level);
-      plan.level = level;
-      plan.sync_scope = cluster;
+      SuperstepPlan& plan = add_plan(phase, schedule.name, level, cluster);
       const int target = cluster_target(tree, cluster, root_pid);
       for (int child = 0; child < tree.num_children(cluster); ++child) {
         const MachineId cid = tree.child(cluster, child);
         const int site = data_site(tree, cid, root_pid);
-        const std::size_t share = shares[static_cast<std::size_t>(cid.level)]
-                                        [static_cast<std::size_t>(cid.index)];
-        if (site != target && share > 0) {
-          plan.transfers.push_back({site, target, share});
-        }
+        const std::size_t share = share_of(shares, cid);
+        if (site == target || share == 0) continue;
+        add_transfer(plan, firsts,
+                     gather ? Transfer{site, target, share}
+                            : Transfer{target, site, share},
+                     offsets[static_cast<std::size_t>(
+                         tree.processor_range(cid).first)]);
       }
     }
     if (!phase.plans.empty()) schedule.phases.push_back(std::move(phase));
@@ -178,90 +170,77 @@ CommSchedule plan_gather(const MachineTree& tree, std::size_t n,
   return schedule;
 }
 
-CommSchedule plan_scatter(const MachineTree& tree, std::size_t n,
-                          const RootedOptions& options) {
-  note_plan("scatter");
-  const int root_pid = normalize_root(tree, options.root_pid);
-  const auto shares = node_shares(tree, n, options.shares);
-
-  CommSchedule schedule;
-  schedule.name = "scatter";
-  for (int level = tree.height(); level >= 1; --level) {
-    Phase phase;
-    for (int j = 0; j < tree.machines_at(level); ++j) {
-      const MachineId cluster{level, j};
-      if (tree.is_processor(cluster)) continue;
-      SuperstepPlan& plan = phase.plans.emplace_back();
-      plan.label = "scatter L" + std::to_string(level);
-      plan.level = level;
-      plan.sync_scope = cluster;
-      const int source = cluster_target(tree, cluster, root_pid);
-      for (int child = 0; child < tree.num_children(cluster); ++child) {
-        const MachineId cid = tree.child(cluster, child);
-        const int site = data_site(tree, cid, root_pid);
-        const std::size_t share = shares[static_cast<std::size_t>(cid.level)]
-                                        [static_cast<std::size_t>(cid.index)];
-        if (site != source && share > 0) {
-          plan.transfers.push_back({source, site, share});
-        }
-      }
-    }
-    if (!phase.plans.empty()) schedule.phases.push_back(std::move(phase));
-  }
-  return schedule;
-}
-
-CommSchedule plan_broadcast(const MachineTree& tree, std::size_t n,
-                            const BroadcastOptions& options) {
+CommSchedule broadcast_schedule(const MachineTree& tree, std::size_t n,
+                                const BroadcastOptions& options, Firsts* firsts) {
   note_plan("broadcast");
-  const int root_pid = normalize_root(tree, options.root_pid);
+  const int root_pid = resolve_root(tree, options.root_pid);
 
   CommSchedule schedule;
   schedule.name = "broadcast";
   for (int level = tree.height(); level >= 1; --level) {
-    const bool top = level == tree.height();
-    if (top && options.top_phase == TopPhase::kOnePhase) {
-      Phase phase;
-      for (int j = 0; j < tree.machines_at(level); ++j) {
-        const MachineId cluster{level, j};
-        if (tree.is_processor(cluster)) continue;
-        SuperstepPlan& plan = phase.plans.emplace_back();
-        plan.label = "bcast one-phase L" + std::to_string(level);
-        plan.level = level;
-        plan.sync_scope = cluster;
-        const int src = cluster_target(tree, cluster, root_pid);
-        for (int child = 0; child < tree.num_children(cluster); ++child) {
-          const int site = data_site(tree, tree.child(cluster, child), root_pid);
-          if (site != src) plan.transfers.push_back({src, site, n});
-        }
-      }
-      if (!phase.plans.empty()) schedule.phases.push_back(std::move(phase));
-      continue;
-    }
-
+    // Per cluster, one phase sending all n items to every member's data site,
+    // or two: a scatter of per-member pieces, then their total exchange among
+    // the sites. The exchange's offsets follow the scatter's in schedule
+    // order, so they are collected apart.
+    const bool one_phase =
+        level == tree.height() && options.top_phase == TopPhase::kOnePhase;
     Phase scatter_phase;
     Phase exchange_phase;
+    Firsts exchange_firsts;
     for (int j = 0; j < tree.machines_at(level); ++j) {
       const MachineId cluster{level, j};
       if (tree.is_processor(cluster)) continue;
-      add_two_phase_broadcast(tree, cluster, root_pid, n, options.shares, level,
-                              scatter_phase, exchange_phase);
+      const int src = cluster_target(tree, cluster, root_pid);
+      const auto m = static_cast<std::size_t>(tree.num_children(cluster));
+      const auto split =
+          one_phase ? std::vector<std::size_t>(m, n)
+                    : analysis::broadcast_pieces(tree, cluster, n, options.shares);
+      std::vector<int> sites;
+      std::vector<std::size_t> piece_first{0};
+      for (std::size_t c = 0; c < m; ++c) {
+        sites.push_back(
+            data_site(tree, tree.child(cluster, static_cast<int>(c)), root_pid));
+        piece_first.push_back(one_phase ? 0 : piece_first.back() + split[c]);
+      }
+      SuperstepPlan& scatter =
+          add_plan(scatter_phase, one_phase ? "bcast one-phase" : "bcast scatter",
+                   level, cluster);
+      for (std::size_t c = 0; c < m; ++c) {
+        if (sites[c] != src && (one_phase || split[c] > 0)) {
+          add_transfer(scatter, firsts, {src, sites[c], split[c]},
+                       piece_first[c]);
+        }
+      }
+      if (one_phase) continue;
+      SuperstepPlan& exchange =
+          add_plan(exchange_phase, "bcast exchange", level, cluster);
+      for (std::size_t c = 0; c < m; ++c) {
+        for (std::size_t i = 0; i < m; ++i) {
+          if (i == c || split[c] == 0 || sites[c] == sites[i]) continue;
+          add_transfer(exchange, firsts != nullptr ? &exchange_firsts : nullptr,
+                       {sites[c], sites[i], split[c]}, piece_first[c]);
+        }
+      }
     }
-    if (!scatter_phase.plans.empty()) {
-      schedule.phases.push_back(std::move(scatter_phase));
-      schedule.phases.push_back(std::move(exchange_phase));
+    if (scatter_phase.plans.empty()) continue;
+    schedule.phases.push_back(std::move(scatter_phase));
+    if (!one_phase) schedule.phases.push_back(std::move(exchange_phase));
+    if (firsts != nullptr) {
+      firsts->insert(firsts->end(), exchange_firsts.begin(),
+                     exchange_firsts.end());
     }
   }
   return schedule;
 }
 
-CommSchedule plan_allgather(const MachineTree& tree, std::size_t n,
-                            Shares shares) {
+CommSchedule allgather_schedule(const MachineTree& tree, std::size_t n,
+                                Shares shares, Firsts* firsts) {
   note_plan("allgather");
-  detail::require_flat(tree, "plan_allgather");
+  require_flat(tree, "plan_allgather");
   const analysis::Members members =
       analysis::cluster_members(tree, tree.root(), n, shares);
   const std::size_t m = members.pids.size();
+  const auto offsets = share_offsets(tree, n, shares);
 
   CommSchedule schedule;
   schedule.name = "allgather";
@@ -270,10 +249,81 @@ CommSchedule plan_allgather(const MachineTree& tree, std::size_t n,
     if (members.shares[j] == 0) continue;
     for (std::size_t i = 0; i < m; ++i) {
       if (i == j) continue;
-      plan.transfers.push_back(
-          {members.pids[j], members.pids[i], members.shares[j]});
+      add_transfer(plan, firsts,
+                   {members.pids[j], members.pids[i], members.shares[j]},
+                   offsets[static_cast<std::size_t>(members.pids[j])]);
     }
   }
+  return schedule;
+}
+
+CommSchedule alltoall_schedule(const MachineTree& tree, std::size_t n,
+                               Shares shares, Firsts* firsts) {
+  note_plan("alltoall");
+  require_flat(tree, "plan_alltoall");
+  const analysis::Members members =
+      analysis::cluster_members(tree, tree.root(), n, shares);
+  const std::size_t m = members.pids.size();
+  const auto offsets = share_offsets(tree, n, shares);
+
+  CommSchedule schedule;
+  schedule.name = "alltoall";
+  SuperstepPlan& plan = schedule.add_step("all-to-all", 1, tree.root());
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto blocks = equal_partition(members.shares[j], m);
+    std::size_t first = offsets[static_cast<std::size_t>(members.pids[j])];
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i != j && blocks[i] > 0) {
+        add_transfer(plan, firsts,
+                     {members.pids[j], members.pids[i], blocks[i]}, first);
+      }
+      first += blocks[i];
+    }
+  }
+  return schedule;
+}
+
+}  // namespace detail
+
+CommSchedule plan_gather(const MachineTree& tree, std::size_t n,
+                         const RootedOptions& options) {
+  return detail::rooted_schedule(tree, n, options, true, nullptr);
+}
+
+CommSchedule plan_scatter(const MachineTree& tree, std::size_t n,
+                          const RootedOptions& options) {
+  return detail::rooted_schedule(tree, n, options, false, nullptr);
+}
+
+CommSchedule plan_broadcast(const MachineTree& tree, std::size_t n,
+                            const BroadcastOptions& options) {
+  return detail::broadcast_schedule(tree, n, options, nullptr);
+}
+
+CommSchedule plan_allgather(const MachineTree& tree, std::size_t n,
+                            Shares shares) {
+  return detail::allgather_schedule(tree, n, shares, nullptr);
+}
+
+CommSchedule plan_alltoall(const MachineTree& tree, std::size_t n,
+                           Shares shares) {
+  return detail::alltoall_schedule(tree, n, shares, nullptr);
+}
+
+CommSchedule plan_allgather_tree(const MachineTree& tree, std::size_t n,
+                                 Shares shares) {
+  note_plan("allgather_tree");
+  if (tree.num_children(tree.root()) == 0) {
+    throw std::invalid_argument{"plan_allgather_tree: single-processor machine"};
+  }
+  CommSchedule schedule;
+  schedule.name = "allgather-tree";
+  CommSchedule up = plan_gather(tree, n, {.root_pid = -1, .shares = shares});
+  CommSchedule down = plan_broadcast(
+      tree, n,
+      {.root_pid = -1, .top_phase = TopPhase::kTwoPhase, .shares = Shares::kEqual});
+  for (auto& phase : up.phases) schedule.phases.push_back(std::move(phase));
+  for (auto& phase : down.phases) schedule.phases.push_back(std::move(phase));
   return schedule;
 }
 
@@ -281,7 +331,7 @@ CommSchedule plan_reduce(const MachineTree& tree, std::size_t n,
                          const RootedOptions& options) {
   note_plan("reduce");
   detail::require_flat(tree, "plan_reduce");
-  const int root_pid = normalize_root(tree, options.root_pid);
+  const int root_pid = detail::resolve_root(tree, options.root_pid);
   const analysis::Members members =
       analysis::cluster_members(tree, tree.root(), n, options.shares);
   const std::size_t m = members.pids.size();
@@ -303,40 +353,18 @@ CommSchedule plan_reduce(const MachineTree& tree, std::size_t n,
   return schedule;
 }
 
-
-
-CommSchedule plan_allgather_tree(const MachineTree& tree, std::size_t n,
-                                 Shares shares) {
-  note_plan("allgather_tree");
-  if (tree.num_children(tree.root()) == 0) {
-    throw std::invalid_argument{"plan_allgather_tree: single-processor machine"};
-  }
-  CommSchedule schedule;
-  schedule.name = "allgather-tree";
-  CommSchedule up = plan_gather(tree, n, {.root_pid = -1, .shares = shares});
-  CommSchedule down = plan_broadcast(
-      tree, n,
-      {.root_pid = -1, .top_phase = TopPhase::kTwoPhase, .shares = Shares::kEqual});
-  for (auto& phase : up.phases) schedule.phases.push_back(std::move(phase));
-  for (auto& phase : down.phases) schedule.phases.push_back(std::move(phase));
-  return schedule;
-}
-
 CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
                               const RootedOptions& options) {
   note_plan("reduce_tree");
-  const int root_pid = normalize_root(tree, options.root_pid);
+  const int root_pid = detail::resolve_root(tree, options.root_pid);
   if (tree.num_children(tree.root()) == 0) {
     throw std::invalid_argument{"plan_reduce_tree: single-processor machine"};
   }
-  const auto shares = leaf_shares(tree, n, options.shares);
-
-  // Ops owed by each data site, charged in the next phase it takes part in:
-  // initially every processor owes its local combine.
-  std::map<int, double> pending;
-  for (int pid = 0; pid < tree.num_processors(); ++pid) {
-    const std::size_t share = shares[static_cast<std::size_t>(pid)];
-    pending[pid] = share > 0 ? static_cast<double>(share) - 1.0 : 0.0;
+  // Ops owed by each data site (by pid), charged in the next phase it takes
+  // part in: initially every processor owes its local combine.
+  std::vector<double> pending;
+  for (const std::size_t share : leaf_shares(tree, n, options.shares)) {
+    pending.push_back(share > 0 ? static_cast<double>(share) - 1.0 : 0.0);
   }
 
   CommSchedule schedule;
@@ -346,18 +374,14 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
     for (int j = 0; j < tree.machines_at(level); ++j) {
       const MachineId cluster{level, j};
       if (tree.is_processor(cluster)) continue;
-      SuperstepPlan& plan = phase.plans.emplace_back();
-      plan.label = "reduce L" + std::to_string(level);
-      plan.level = level;
-      plan.sync_scope = cluster;
+      SuperstepPlan& plan = add_plan(phase, "reduce", level, cluster);
       const int target = cluster_target(tree, cluster, root_pid);
       std::size_t partials_received = 0;
       for (int child = 0; child < tree.num_children(cluster); ++child) {
         const int site = data_site(tree, tree.child(cluster, child), root_pid);
-        if (const auto owed = pending.find(site);
-            owed != pending.end() && owed->second > 0.0) {
-          plan.compute.push_back({site, owed->second});
-          owed->second = 0.0;
+        if (double& owed = pending[static_cast<std::size_t>(site)]; owed > 0.0) {
+          plan.compute.push_back({site, owed});
+          owed = 0.0;
         }
         if (site != target) {
           plan.transfers.push_back({site, target, 1});
@@ -365,7 +389,8 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
         }
       }
       // The target folds the delivered partials next phase.
-      pending[target] += static_cast<double>(partials_received);
+      pending[static_cast<std::size_t>(target)] +=
+          static_cast<double>(partials_received);
     }
     if (!phase.plans.empty()) schedule.phases.push_back(std::move(phase));
   }
@@ -373,8 +398,9 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
   SuperstepPlan& final_step =
       schedule.add_step("root combine", tree.height(), tree.root());
   const int root_target = cluster_target(tree, tree.root(), root_pid);
-  if (pending[root_target] > 0.0) {
-    final_step.compute.push_back({root_target, pending[root_target]});
+  if (const double owed = pending[static_cast<std::size_t>(root_target)];
+      owed > 0.0) {
+    final_step.compute.push_back({root_target, owed});
   }
   return schedule;
 }
@@ -412,27 +438,6 @@ CommSchedule plan_scan(const MachineTree& tree, std::size_t n, Shares shares) {
     if (members.shares[j] > 0) {
       apply.compute.push_back({members.pids[j],
                                static_cast<double>(members.shares[j])});
-    }
-  }
-  return schedule;
-}
-
-CommSchedule plan_alltoall(const MachineTree& tree, std::size_t n,
-                           Shares shares) {
-  note_plan("alltoall");
-  detail::require_flat(tree, "plan_alltoall");
-  const analysis::Members members =
-      analysis::cluster_members(tree, tree.root(), n, shares);
-  const std::size_t m = members.pids.size();
-
-  CommSchedule schedule;
-  schedule.name = "alltoall";
-  SuperstepPlan& plan = schedule.add_step("all-to-all", 1, tree.root());
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto blocks = equal_partition(members.shares[j], m);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i == j || blocks[i] == 0) continue;
-      plan.transfers.push_back({members.pids[j], members.pids[i], blocks[i]});
     }
   }
   return schedule;

@@ -5,8 +5,10 @@
 // paper's two design rules: the fastest machines coordinate, and machines
 // receive data in proportion to their abilities. The schedules are priced by
 // CostModel (matching the closed forms in core/analysis exactly) and executed
-// either by the cluster simulator directly or by the SPMD executors in
-// executors.hpp.
+// either by the cluster simulator directly or, with real data, by the SPMD
+// executors in executors.hpp, which run the very schedule planned here. The
+// planners are the only code that knows which slice of the data a transfer
+// carries: the detail:: entry points below report it beside the schedule.
 //
 // gather, broadcast and scatter generalise to any k by recursing over the
 // machine tree (the paper gives k <= 2 and notes "one can generalize the
@@ -112,6 +114,41 @@ namespace detail {
 /// Throws std::invalid_argument unless the tree is flat (every child of the
 /// root is a processor) — the HBSP^1 shape the single-cluster planners need.
 void require_flat(const MachineTree& tree, const char* who);
+
+/// `root_pid`, or the machine's coordinator when it is negative; throws
+/// std::invalid_argument for a pid the machine does not have.
+[[nodiscard]] int resolve_root(const MachineTree& tree, int root_pid);
+
+/// Where each processor's share of n items starts in the global pid-ordered
+/// sequence: prefix sums of leaf_shares, p + 1 entries.
+[[nodiscard]] std::vector<std::size_t> share_offsets(const MachineTree& tree,
+                                                     std::size_t n,
+                                                     Shares shares);
+
+// The planners behind plan_gather, plan_scatter, plan_broadcast,
+// plan_allgather and plan_alltoall. Each also appends to `firsts`, when it
+// is non-null, the global offset (per share_offsets; for broadcast, into the
+// broadcast array) of the first item each transfer carries, in schedule
+// order: phase by phase, plan by plan. The executors run the schedule and
+// route data by these offsets; they stay beside the schedule, never in it,
+// so cached schedules keep Transfer at 16 bytes.
+using Firsts = std::vector<std::size_t>;
+
+/// plan_gather's schedule when `gather`, else plan_scatter's (its mirror).
+[[nodiscard]] CommSchedule rooted_schedule(const MachineTree& tree,
+                                           std::size_t n,
+                                           const RootedOptions& options,
+                                           bool gather, Firsts* firsts);
+[[nodiscard]] CommSchedule broadcast_schedule(const MachineTree& tree,
+                                              std::size_t n,
+                                              const BroadcastOptions& options,
+                                              Firsts* firsts);
+[[nodiscard]] CommSchedule allgather_schedule(const MachineTree& tree,
+                                              std::size_t n, Shares shares,
+                                              Firsts* firsts);
+[[nodiscard]] CommSchedule alltoall_schedule(const MachineTree& tree,
+                                             std::size_t n, Shares shares,
+                                             Firsts* firsts);
 }  // namespace detail
 
 }  // namespace hbsp::coll

@@ -1,21 +1,5 @@
 #pragma once
-// Replays an arbitrary CommSchedule as an SPMD program on the runtime.
-//
-// Used by tests and examples to demonstrate that the runtime's virtual time
-// agrees with the cluster simulator for *any* schedule (including randomly
-// generated ones), not just the hand-written collectives.
+// make_replay_program, which replays any CommSchedule on the runtime, lives
+// in executors.hpp beside the executor it runs.
 
-#include "core/machine.hpp"
-#include "core/schedule.hpp"
-#include "runtime/hbsplib.hpp"
-
-namespace hbsp::coll {
-
-/// Builds a Program where each processor performs its transfers (synthetic
-/// payloads of 4 bytes per item) and compute charges from `schedule`, phase
-/// by phase, synchronising each plan's scope. The schedule must be valid for
-/// `tree` (validate_schedule is called).
-[[nodiscard]] rt::Program make_replay_program(const MachineTree& tree,
-                                              const CommSchedule& schedule);
-
-}  // namespace hbsp::coll
+#include "collectives/executors.hpp"

@@ -25,6 +25,9 @@ struct Transfer {
 
   friend bool operator==(const Transfer&, const Transfer&) = default;
 };
+// The plan and scenario caches hold hundreds of thousands of transfers: 8
+// more bytes per transfer cost about 6.5 MB (+25 %) of svc_warm peak RSS.
+static_assert(sizeof(Transfer) <= 16, "keep Transfer at 16 bytes");
 
 /// Local computation charged to one processor within a superstep, measured in
 /// abstract item-operations.

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "collectives/executors.hpp"
 #include "collectives/planners.hpp"
 #include "collectives/schedule_replay.hpp"
 #include "core/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cluster_sim.hpp"
 #include "util/rng.hpp"
 
@@ -146,6 +149,111 @@ TEST(ExecutorTimingAgreement, BroadcastMatchesPlanner) {
     };
     const double executed = rt::run_program(tree, kParams, program).makespan;
     EXPECT_NEAR(executed, planned, 1e-9 * planned);
+  }
+}
+
+std::uint64_t messages_delivered() {
+  return obs::Registry::global().snapshot().counter("sim.messages_delivered");
+}
+
+/// Runs `program` on the runtime and checks it realises `schedule`: the same
+/// virtual makespan as simulating the schedule, and exactly the schedule's
+/// messages delivered.
+void expect_executes(const MachineTree& tree, const CommSchedule& schedule,
+                     const rt::Program& program) {
+  const double planned = simulate(tree, schedule);
+  const std::uint64_t before = messages_delivered();
+  const double executed = rt::run_program(tree, kParams, program).makespan;
+  EXPECT_NEAR(executed, planned, 1e-9 * planned) << schedule.name;
+  EXPECT_EQ(messages_delivered() - before, schedule.total_messages())
+      << schedule.name;
+}
+
+TEST(ExecutorTimingAgreement, ScatterMatchesPlanner) {
+  const std::size_t n = 10000;
+  const MachineTree flat = make_paper_testbed(5);
+  const MachineTree deep = make_figure1_cluster();
+  const std::vector<std::int32_t> input(n, 5);
+  for (const MachineTree* tree : {&flat, &deep}) {
+    for (const auto shares : {coll::Shares::kEqual, coll::Shares::kBalanced}) {
+      for (const int root : {tree->coordinator_pid(tree->root()),
+                             tree->slowest_pid(tree->root())}) {
+        const coll::RootedOptions options{.root_pid = root, .shares = shares};
+        const rt::Program program = [&](rt::Hbsp& ctx) {
+          (void)coll::scatter<std::int32_t>(
+              ctx,
+              ctx.pid() == root ? std::span<const std::int32_t>{input}
+                                : std::span<const std::int32_t>{},
+              n, options);
+        };
+        SCOPED_TRACE("p=" + std::to_string(tree->num_processors()) +
+                     " root=" + std::to_string(root));
+        expect_executes(*tree, coll::plan_scatter(*tree, n, options), program);
+      }
+    }
+  }
+}
+
+TEST(ExecutorTimingAgreement, AllgatherMatchesPlanner) {
+  const MachineTree tree = make_paper_testbed(6);
+  const std::size_t n = 12000;
+  for (const auto shares : {coll::Shares::kEqual, coll::Shares::kBalanced}) {
+    const auto leaf = coll::leaf_shares(tree, n, shares);
+    const rt::Program program = [&](rt::Hbsp& ctx) {
+      const std::vector<std::int32_t> mine(
+          leaf[static_cast<std::size_t>(ctx.pid())], 1);
+      (void)coll::allgather<std::int32_t>(ctx, mine, n, shares);
+    };
+    expect_executes(tree, coll::plan_allgather(tree, n, shares), program);
+  }
+}
+
+TEST(ExecutorTimingAgreement, ReduceMatchesPlanner) {
+  const MachineTree tree = make_paper_testbed(6);
+  const std::size_t n = 30000;
+  for (const int root :
+       {tree.coordinator_pid(tree.root()), tree.slowest_pid(tree.root())}) {
+    const coll::RootedOptions options{.root_pid = root,
+                                      .shares = coll::Shares::kBalanced};
+    const auto leaf = coll::leaf_shares(tree, n, options.shares);
+    const rt::Program program = [&](rt::Hbsp& ctx) {
+      const std::vector<std::int64_t> mine(
+          leaf[static_cast<std::size_t>(ctx.pid())], 2);
+      (void)coll::reduce<std::int64_t>(
+          ctx, mine, n, [](std::int64_t a, std::int64_t b) { return a + b; },
+          std::int64_t{0}, options);
+    };
+    expect_executes(tree, coll::plan_reduce(tree, n, options), program);
+  }
+}
+
+TEST(ExecutorTimingAgreement, ScanMatchesPlanner) {
+  const MachineTree tree = make_paper_testbed(5);
+  const std::size_t n = 20000;
+  for (const auto shares : {coll::Shares::kEqual, coll::Shares::kBalanced}) {
+    const auto leaf = coll::leaf_shares(tree, n, shares);
+    const rt::Program program = [&](rt::Hbsp& ctx) {
+      const std::vector<std::int64_t> mine(
+          leaf[static_cast<std::size_t>(ctx.pid())], 1);
+      (void)coll::scan<std::int64_t>(
+          ctx, mine, n, [](std::int64_t a, std::int64_t b) { return a + b; },
+          std::int64_t{0}, shares);
+    };
+    expect_executes(tree, coll::plan_scan(tree, n, shares), program);
+  }
+}
+
+TEST(ExecutorTimingAgreement, AlltoallMatchesPlanner) {
+  const MachineTree tree = make_paper_testbed(5);
+  const std::size_t n = 15000;
+  for (const auto shares : {coll::Shares::kEqual, coll::Shares::kBalanced}) {
+    const auto leaf = coll::leaf_shares(tree, n, shares);
+    const rt::Program program = [&](rt::Hbsp& ctx) {
+      const std::vector<std::int32_t> mine(
+          leaf[static_cast<std::size_t>(ctx.pid())], 4);
+      (void)coll::alltoall<std::int32_t>(ctx, mine, n, shares);
+    };
+    expect_executes(tree, coll::plan_alltoall(tree, n, shares), program);
   }
 }
 
